@@ -25,7 +25,7 @@ from .scenarios import (
     sweep,
     sweep_csv,
 )
-from .timeseries import spectrum_to_csv
+from .timeseries import write_spectrum_csv
 
 EXIT_OK = 0
 EXIT_REFERENCE_FAILURE = 1
@@ -102,7 +102,8 @@ def _write_outputs(result: ScenarioResult, out_dir: Path, fmt: str) -> None:
         path = out_dir / f"{result.name}_summary.csv"
         path.write_text(summary_csv(result))
     for key, spectrum in result.spectra.items():
-        (out_dir / f"{result.name}_{key}.csv").write_text(spectrum_to_csv(spectrum))
+        with (out_dir / f"{result.name}_{key}.csv").open("w") as fh:
+            write_spectrum_csv(spectrum, fh)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

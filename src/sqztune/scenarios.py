@@ -45,6 +45,7 @@ from .timeseries import (
     SpectrumEstimate,
     band_power,
     calibrate,
+    simulate_spectra,
     simulate_spectrum,
 )
 
@@ -163,8 +164,8 @@ class ScenarioConfig:
             unknown = set(self.mc_pump_mw) - set(self.pump_sweep_mw)
             if unknown:
                 raise ConfigError(f"Monte-Carlo pump values {sorted(unknown)} not in the sweep")
-        if self.electronic_floor < 0:
-            raise ConfigError("electronic noise floor must be non-negative")
+        if not math.isfinite(self.electronic_floor) or self.electronic_floor < 0:
+            raise ConfigError("electronic noise floor must be finite and non-negative")
         hd = self.hd
         if not hd.thetas_rad:
             raise ConfigError("at least one LO phase required")
@@ -182,6 +183,15 @@ class ScenarioConfig:
                 f"nor the net tuner shift ({shift} MHz)"
             )
         nyquist = self.acquisition.sample_rate_msps / 2.0
+        for freq, power in self.interference_tones:
+            if not (math.isfinite(freq) and math.isfinite(power)) or power < 0:
+                raise ConfigError(
+                    f"interference tone ({freq} MHz, {power}) needs finite values and power >= 0"
+                )
+            if freq >= nyquist:
+                raise ConfigError(
+                    f"interference tone at {freq} MHz exceeds the Nyquist frequency {nyquist} MHz"
+                )
         half = self.acquisition.band_width_mhz / 2.0
         for f in hd.analysis_mhz:
             if f <= 0:
@@ -447,61 +457,83 @@ _ELECTRONIC_STREAM = 2
 _SIGNAL_STREAM_BASE = 1000
 
 
+def _acquisition(cfg: ScenarioConfig, seed: int | None) -> AcquisitionParams:
+    try:
+        return cfg.acquisition if seed is None else replace(cfg.acquisition, rng_seed=seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _noise_spectra(cfg: ScenarioConfig, acq: AcquisitionParams) -> dict[str, SpectrumEstimate]:
+    snl_model = NoiseModel(_flat_psd(1.0), cfg.electronic_floor, ())
+    elec_model = NoiseModel(None, cfg.electronic_floor, ())
+    return {
+        "snl": simulate_spectrum(snl_model, acq, stream=_SNL_STREAM),
+        "electronic": simulate_spectrum(elec_model, acq, stream=_ELECTRONIC_STREAM),
+    }
+
+
 def run_scenario(
-    cfg: ScenarioConfig, mode: str | None = None, seed: int | None = None
+    cfg: ScenarioConfig,
+    mode: str | None = None,
+    seed: int | None = None,
+    *,
+    noise: dict[str, SpectrumEstimate] | None = None,
 ) -> ScenarioResult:
     """Execute a scenario: analytic values, optional Monte-Carlo spectra,
-    and pass/fail against the reference table."""
+    and pass/fail against the reference table.
+
+    ``noise`` passes in the 'snl' and 'electronic' spectra of this
+    acquisition, seed and electronic floor, which :func:`sweep` simulates once
+    for all of its values; when None, they are simulated here.
+    """
     mode = cfg.mode if mode is None else mode
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    try:
-        acq = cfg.acquisition if seed is None else replace(cfg.acquisition, rng_seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    acq = _acquisition(cfg, seed)
     want_analytic = mode in ("analytic", "both")
     want_mc = mode in ("montecarlo", "both")
 
     mc_pumps = cfg.pump_sweep_mw if cfg.mc_pump_mw is None else cfg.mc_pump_mw
+    thetas = cfg.hd.thetas_rad
     spectra: dict[str, SpectrumEstimate] = {}
-    snl_est = elec_est = None
     if want_mc:
-        snl_model = NoiseModel(_flat_psd(1.0), cfg.electronic_floor, ())
-        elec_model = NoiseModel(None, cfg.electronic_floor, ())
-        snl_est = simulate_spectrum(snl_model, acq, stream=_SNL_STREAM)
-        elec_est = simulate_spectrum(elec_model, acq, stream=_ELECTRONIC_STREAM)
-        spectra["snl"] = snl_est
-        spectra["electronic"] = elec_est
+        noise = _noise_spectra(cfg, acq) if noise is None else noise
+        spectra.update(noise)
 
     rows: list[ResultRow] = []
     for pump_index, pump in enumerate(cfg.pump_sweep_mw):
-        for theta in cfg.hd.thetas_rad:
-            corrected = None
-            if want_mc and pump in mc_pumps:
-                model = NoiseModel(
-                    _mc_psd_function(cfg, pump, theta),
-                    cfg.electronic_floor,
-                    cfg.interference_tones,
-                )
-                # Common random numbers across LO phases of one pump point:
-                # phase comparisons then reflect the model, not draw-to-draw
-                # scatter.  Streams stay independent across pumps and traces.
-                signal_est = simulate_spectrum(
-                    model, acq, stream=_SIGNAL_STREAM_BASE + pump_index
-                )
-                corrected = calibrate(signal_est, snl_est, elec_est)
+        corrected = [None] * len(thetas)
+        if want_mc and pump in mc_pumps:
+            models = [
+                NoiseModel(_mc_psd_function(cfg, pump, theta), cfg.electronic_floor,
+                           cfg.interference_tones)
+                for theta in thetas
+            ]
+            # Common random numbers across LO phases of one pump point: phase
+            # comparisons then reflect the model, not draw-to-draw scatter.
+            # Streams stay independent across pumps and traces.
+            estimates = simulate_spectra(models, acq, stream=_SIGNAL_STREAM_BASE + pump_index)
+            for i, (theta, signal_est) in enumerate(zip(thetas, estimates)):
+                try:
+                    corrected[i] = calibrate(signal_est, noise["snl"], noise["electronic"])
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"{exc} at {acq.rounds} rounds; raise acquisition.rounds"
+                    ) from None
                 key = f"pump{pump:g}mW_{_theta_tag(theta)}"
                 spectra[f"{key}_raw"] = signal_est
-                spectra[f"{key}_corrected"] = corrected
+                spectra[f"{key}_corrected"] = corrected[i]
 
+        for theta, corrected_est in zip(thetas, corrected):
             for analysis in cfg.hd.analysis_mhz:
                 analytic_linear = analytic_db = None
                 if want_analytic:
                     result = analytic_noise(cfg, pump, theta, analysis)
                     analytic_linear, analytic_db = result.value, result.value_db
                 mc_db = None
-                if corrected is not None:
-                    mc_db = db(band_power(corrected, analysis, acq.band_width_mhz))
+                if corrected_est is not None:
+                    mc_db = db(band_power(corrected_est, analysis, acq.band_width_mhz))
                 quantity = _quantity_name(cfg, pump, theta, analysis)
                 ref = _REFERENCE_INDEX.get((cfg.name, quantity))
                 passed = None
@@ -578,6 +610,11 @@ def sweep(
     if not cfg.is_symmetric(cfg.hd.analysis_mhz[0]):
         raise ConfigError("sweep supports scenarios with the LO matched to the state")
     mode = cfg.mode if mode is None else mode
+    # Every value shares the acquisition, seed and electronic floor, so the
+    # noise spectra are simulated once per sweep.
+    noise = None
+    if mode in ("montecarlo", "both"):
+        noise = _noise_spectra(cfg, _acquisition(cfg, seed))
 
     base = _with_hd(cfg, thetas_rad=(0.0, math.pi / 2))
     base = replace(base, pump_sweep_mw=(cfg.pump_sweep_mw[0],), mc_pump_mw=None)
@@ -589,7 +626,7 @@ def sweep(
             variant = _with_hd(base, delta_theta_rad=float(value))
         else:
             variant = _with_hd(base, efficiency=float(value))
-        result = run_scenario(variant, mode=mode, seed=seed)
+        result = run_scenario(variant, mode=mode, seed=seed, noise=noise)
         first_band = variant.hd.analysis_mhz[0]
         by_theta = {
             round(math.degrees(r.theta_rad)): r

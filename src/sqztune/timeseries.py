@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 from numpy.typing import NDArray
@@ -85,11 +85,11 @@ class NoiseModel:
     interference_tones: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.electronic_floor < 0:
-            raise ValueError("electronic noise floor must be non-negative")
+        if not np.isfinite(self.electronic_floor) or self.electronic_floor < 0:
+            raise ValueError("electronic noise floor must be finite and non-negative")
         for freq, power in self.interference_tones:
-            if power < 0:
-                raise ValueError(f"tone power at {freq} MHz must be non-negative")
+            if not np.isfinite([freq, power]).all() or power < 0:
+                raise ValueError(f"tone ({freq} MHz, {power}) needs finite values and power >= 0")
 
     def target_psd(self, freqs_mhz: NDArray[np.float64]) -> NDArray[np.float64]:
         """Stochastic part of the spectrum (optical + floor, without tones)."""
@@ -132,15 +132,20 @@ def synthesize_round(
     # DC and Nyquist bins of a real signal are real-valued.
     spectrum[0] = np.sqrt(target[0] * n) * re[0]
     spectrum[-1] = np.sqrt(target[-1] * n) * re[-1]
-    trace = np.fft.irfft(spectrum, n=n)
+    return _add_tones(np.fft.irfft(spectrum, n=n), model, acq)
 
-    if model.interference_tones:
-        t = np.arange(n) / acq.sample_rate_msps
-        nyquist = acq.sample_rate_msps / 2.0
-        for freq, power in model.interference_tones:
-            if freq >= nyquist:
-                raise ValueError(f"tone at {freq} MHz exceeds Nyquist {nyquist} MHz")
-            trace = trace + 2.0 * np.sqrt(power / n) * np.cos(2.0 * np.pi * freq * t)
+
+def _add_tones(
+    trace: NDArray[np.float64], model: NoiseModel, acq: AcquisitionParams
+) -> NDArray[np.float64]:
+    """``trace`` plus the model's deterministic interference tones."""
+    n = acq.samples_per_round
+    t = np.arange(n) / acq.sample_rate_msps
+    nyquist = acq.sample_rate_msps / 2.0
+    for freq, power in model.interference_tones:
+        if freq >= nyquist:
+            raise ValueError(f"tone at {freq} MHz exceeds Nyquist {nyquist} MHz")
+        trace = trace + 2.0 * np.sqrt(power / n) * np.cos(2.0 * np.pi * freq * t)
     return trace
 
 
@@ -200,29 +205,94 @@ def estimate_spectrum(
     return SpectrumEstimate(acq.grid_mhz, mean, stderr, normalization="raw")
 
 
+def _estimate(acq: AcquisitionParams, total, total_sq) -> SpectrumEstimate:
+    """Mean and standard error from per-bin sums of periodograms over rounds."""
+    rounds = acq.rounds
+    mean = total / rounds
+    if rounds > 1:
+        var = np.maximum(total_sq - total * total / rounds, 0.0) / (rounds - 1)
+        stderr = np.sqrt(var / rounds)
+    else:
+        stderr = np.zeros_like(mean)
+    return SpectrumEstimate(acq.grid_mhz, mean, stderr, normalization="raw")
+
+
+def simulate_spectra(
+    models: Sequence[NoiseModel], acq: AcquisitionParams, stream: int = 0
+) -> list[SpectrumEstimate]:
+    """Averaged periodograms of several models that share one stream's draws.
+
+    Round r of each model is the record ``synthesize_round(model, acq, r,
+    stream)``, but its periodogram is built from the drawn bins z directly as
+    |a*z + T|^2 / n, with bin amplitudes a = sqrt(target * n / 2) and the
+    tone spectrum T = rfft(tones); this equals ``periodogram`` of the record
+    up to the rounding of the irfft/rfft round trip.  Without tones it is
+    target * w with w = |z|^2 / 2 (re^2 at DC and Nyquist), so the draws are
+    reduced once per round for every tone-free model and scaled at the end.
+    Rounds stream through preallocated buffers in a fixed order: memory stays
+    flat in acq.rounds and the result is deterministic.
+    """
+    if stream < 0:
+        raise ValueError("stream must be non-negative")
+    n = acq.samples_per_round
+    m = n // 2 + 1
+    targets = [model.target_psd(acq.grid_mhz) for model in models]
+    re, im, w, buf = (np.empty(m) for _ in range(4))
+    w_sum, w_sumsq = np.zeros(m), np.zeros(m)
+    # Models with tones: index -> (amplitude of re, of im, T.real, T.imag,
+    # periodogram sum, sum of squares).  DC and Nyquist bins are real-valued.
+    toned = {}
+    for i, (model, target) in enumerate(zip(models, targets)):
+        if model.interference_tones:
+            tone = np.fft.rfft(_add_tones(np.zeros(n), model, acq))
+            a_re = np.sqrt(target * n / 2.0)
+            a_re[[0, -1]] = np.sqrt(target[[0, -1]] * n)
+            a_im = a_re.copy()
+            a_im[[0, -1]] = 0.0
+            toned[i] = (a_re, a_im, tone.real.copy(), tone.imag.copy(), np.zeros(m), np.zeros(m))
+
+    for round_index in range(acq.rounds):
+        rng = _round_rng(acq.rng_seed, stream, round_index)
+        rng.standard_normal(out=re)
+        rng.standard_normal(out=im)
+        if len(toned) < len(models):
+            np.multiply(re, re, out=w)
+            np.multiply(im, im, out=buf)
+            w += buf
+            w *= 0.5
+            w[[0, -1]] = re[[0, -1]] ** 2
+            w_sum += w
+            w *= w
+            w_sumsq += w
+        for a_re, a_im, t_re, t_im, total, total_sq in toned.values():
+            np.multiply(a_re, re, out=w)
+            w += t_re
+            w *= w
+            np.multiply(a_im, im, out=buf)
+            buf += t_im
+            buf *= buf
+            w += buf
+            w /= n
+            total += w
+            w *= w
+            total_sq += w
+
+    return [
+        _estimate(acq, *toned[i][4:]) if i in toned
+        else _estimate(acq, target * w_sum, target * target * w_sumsq)
+        for i, target in enumerate(targets)
+    ]
+
+
 def simulate_spectrum(
     model: NoiseModel, acq: AcquisitionParams, stream: int = 0
 ) -> SpectrumEstimate:
     """Synthesize acq.rounds records and average their periodograms.
 
-    Streams one round at a time (memory stays flat at one record) with a
-    fixed-order reduction, so the result is deterministic for a given
-    (model, acq, stream).
+    Reproduces ``estimate_spectrum`` over ``synthesize_round`` records of the
+    same (seed, stream) without forming them; see :func:`simulate_spectra`.
     """
-    psd_sum = np.zeros(acq.samples_per_round // 2 + 1)
-    psd_sumsq = np.zeros_like(psd_sum)
-    for round_index in range(acq.rounds):
-        gram = periodogram(synthesize_round(model, acq, round_index, stream=stream))
-        psd_sum += gram
-        psd_sumsq += gram * gram
-    rounds = acq.rounds
-    mean = psd_sum / rounds
-    if rounds > 1:
-        var = np.maximum(psd_sumsq - psd_sum * psd_sum / rounds, 0.0) / (rounds - 1)
-        stderr = np.sqrt(var / rounds)
-    else:
-        stderr = np.zeros_like(mean)
-    return SpectrumEstimate(acq.grid_mhz, mean, stderr, normalization="raw")
+    return simulate_spectra([model], acq, stream)[0]
 
 
 def mean_power(spec: SpectrumEstimate) -> float:
@@ -310,13 +380,26 @@ def calibrate(
 CSV_HEADER = "freq_mhz,psd_linear,psd_db,stderr"
 
 
+def write_spectrum_csv(spec: SpectrumEstimate, fh: TextIO) -> None:
+    """Write CSV with header ``freq_mhz,psd_linear,psd_db,stderr`` to ``fh``.
+
+    Rows are formatted a block of bins at a time, so neither the text of a
+    whole spectrum nor its values as Python floats are held in memory.
+    """
+    fh.write(CSV_HEADER + "\n")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psd_db = np.where(spec.psd > 0, 10.0 * np.log10(spec.psd), -np.inf)
+    columns = (spec.freqs_mhz, spec.psd, psd_db, spec.stderr)
+    block = 4096
+    for start in range(0, spec.psd.size, block):
+        rows = zip(*(col[start:start + block].tolist() for col in columns))
+        fh.writelines(map("%r,%r,%r,%r\n".__mod__, rows))
+
+
 def spectrum_to_csv(spec: SpectrumEstimate) -> str:
     """CSV text with header ``freq_mhz,psd_linear,psd_db,stderr``."""
     out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for freq, psd, err in zip(spec.freqs_mhz, spec.psd, spec.stderr):
-        psd_db = float(10.0 * np.log10(psd)) if psd > 0 else float("-inf")
-        out.write(f"{float(freq)!r},{float(psd)!r},{psd_db!r},{float(err)!r}\n")
+    write_spectrum_csv(spec, out)
     return out.getvalue()
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sqztune.cli import main
 from sqztune.scenarios import get_scenario, save_config, scenario_to_dict
 from sqztune.timeseries import spectrum_from_csv
@@ -53,6 +55,28 @@ class TestRun:
         path.write_text(json.dumps(data))
         assert main(["run", str(path), "--mode", "analytic"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("electronic_floor", float("nan")), ("interference_tones", [[1.0, float("inf")]])],
+    )
+    def test_non_finite_noise_input_exits_2(self, tmp_path, capsys, field, value):
+        data = scenario_to_dict(get_scenario("fig4a"))
+        data[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_too_few_rounds_exits_2_without_traceback(self, tmp_path, capsys):
+        data = scenario_to_dict(get_scenario("fig4a"))
+        data["acquisition"]["rounds"] = 3
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--mode", "both"]) == 2
+        err = capsys.readouterr().err
+        assert "3 rounds" in err
+        assert "Traceback" not in err
 
     def test_montecarlo_run_writes_spectra(self, tmp_path, capsys):
         data = scenario_to_dict(get_scenario("fig4a"))

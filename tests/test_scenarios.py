@@ -218,6 +218,28 @@ class TestRunScenario:
         assert "pump450mW_theta90_corrected" in result.spectra
         assert result.spectra["pump450mW_theta0_corrected"].normalization == "corrected"
 
+    def test_too_few_rounds_is_a_config_error(self):
+        cfg = fast(get_scenario("fig4a"), rounds=3)
+        with pytest.raises(ConfigError, match="at 3 rounds"):
+            run_scenario(cfg, mode="both", seed=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("electronic_floor", float("nan")),
+            ("electronic_floor", float("inf")),
+            ("interference_tones", ((80.0, float("nan")),)),
+            ("interference_tones", ((float("nan"), 1.0),)),
+        ],
+    )
+    def test_non_finite_noise_inputs_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            simple_config(**{field: value})
+
+    def test_tone_beyond_nyquist_rejected(self):
+        with pytest.raises(ConfigError, match="Nyquist"):
+            simple_config(interference_tones=((30.0, 1.0),))
+
     def test_summary_csv_layout(self):
         result = run_scenario(get_scenario("fig4a"), mode="analytic")
         lines = summary_csv(result).splitlines()
@@ -253,6 +275,27 @@ class TestSweep:
         records = sweep(cfg, "hd_efficiency", [0.2, 0.5, 0.8, 1.0])
         squeezed = [r["squeezed_db"] for r in records]
         assert all(b < a for a, b in zip(squeezed, squeezed[1:]))
+
+    @pytest.mark.parametrize(
+        "name, parameter, values",
+        [("fig4b", "pump_mw", [180.0, 612.5]), ("fig5c", "hd_efficiency", [0.7, 0.95])],
+    )
+    def test_mc_columns_match_single_point_runs(self, name, parameter, values):
+        # The sweep simulates its noise spectra once; every value must still
+        # read what its own run_scenario call reads, bit for bit.
+        cfg = fast(get_scenario(name))
+        records = sweep(cfg, parameter, values, mode="both", seed=7)
+        for record, value in zip(records, values):
+            variant = replace(cfg, pump_sweep_mw=(cfg.pump_sweep_mw[0],), mc_pump_mw=None)
+            if parameter == "pump_mw":
+                variant = replace(variant, pump_sweep_mw=(value,))
+            else:
+                hd = replace(variant.hd, efficiency=value)
+                variant = replace(variant, chain=variant.chain[:-1] + (hd,))
+            rows = run_scenario(variant, mode="both", seed=7).rows
+            by_theta = {round(math.degrees(row.theta_rad)): row.mc_db for row in rows}
+            assert record["squeezed_mc_db"] == by_theta[0]
+            assert record["antisqueezed_mc_db"] == by_theta[90]
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="unknown sweep parameter"):

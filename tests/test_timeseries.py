@@ -14,10 +14,12 @@ from sqztune.timeseries import (
     mean_power,
     normalize_to_snl,
     periodogram,
+    simulate_spectra,
     simulate_spectrum,
     spectrum_from_csv,
     spectrum_to_csv,
     synthesize_round,
+    write_spectrum_csv,
 )
 
 SMALL = AcquisitionParams(
@@ -30,11 +32,27 @@ SMALL = AcquisitionParams(
 )
 
 
+# Beat-readout rate with 80 MHz on the grid (bin 3200 of 0.025 MHz).
+BEAT = AcquisitionParams(
+    sample_rate_msps=250.0,
+    samples_per_round=10_000,
+    rounds=24,
+    band_center_mhz=81.55,
+    band_width_mhz=0.1,
+    rng_seed=17,
+)
+TONE = ((80.0, 30.0),)
+
+
 def flat(level: float):
     def psd(freqs):
         return np.full(np.shape(freqs), level)
 
     return psd
+
+
+def lorentzian(freqs):
+    return 0.4 + 2.0 / (1.0 + (np.asarray(freqs) / 15.6) ** 2)
 
 
 class TestAcquisitionParams:
@@ -95,6 +113,19 @@ class TestSynthesizeRound:
         with pytest.raises(ValueError, match="non-negative"):
             synthesize_round(model, SMALL, 0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(electronic_floor=float("nan")),
+            dict(electronic_floor=float("inf")),
+            dict(interference_tones=((80.0, float("nan")),)),
+            dict(interference_tones=((float("inf"), 1.0),)),
+        ],
+    )
+    def test_non_finite_noise_inputs_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(None, **kwargs)
+
     def test_tone_beyond_nyquist_rejected(self):
         model = NoiseModel(None, electronic_floor=0.1, interference_tones=((30.0, 1.0),))
         with pytest.raises(ValueError, match="Nyquist"):
@@ -138,6 +169,28 @@ class TestEstimateSpectrum:
         streamed = simulate_spectrum(model, SMALL)
         assert np.allclose(batch.psd, streamed.psd, rtol=1e-12, atol=1e-15)
         assert np.allclose(batch.stderr, streamed.stderr, rtol=1e-9, atol=1e-12)
+
+    def test_matches_reference_path_for_sloped_psd_with_tone(self):
+        model = NoiseModel(lorentzian, electronic_floor=0.1, interference_tones=TONE)
+        traces = [synthesize_round(model, BEAT, i, stream=3) for i in range(BEAT.rounds)]
+        batch = estimate_spectrum(traces, BEAT)
+        streamed = simulate_spectrum(model, BEAT, stream=3)
+        assert streamed.psd[3200] > 10.0 * streamed.psd[3190]
+        assert np.allclose(batch.psd, streamed.psd, rtol=1e-12, atol=0.0)
+        assert np.allclose(batch.stderr, streamed.stderr, rtol=1e-9, atol=1e-12)
+
+    def test_shared_draws_match_separate_calls(self):
+        models = [
+            NoiseModel(lorentzian, electronic_floor=0.1),
+            NoiseModel(flat(0.3), electronic_floor=0.1, interference_tones=TONE),
+            NoiseModel(None, electronic_floor=0.0),
+            NoiseModel(flat(2.5), electronic_floor=0.1),
+        ]
+        together = simulate_spectra(models, BEAT, stream=5)
+        for model, est in zip(models, together):
+            alone = simulate_spectrum(model, BEAT, stream=5)
+            assert np.allclose(est.psd, alone.psd, rtol=1e-12, atol=0.0)
+            assert np.allclose(est.stderr, alone.stderr, rtol=1e-12, atol=0.0)
 
     def test_inconsistent_lengths_rejected(self):
         with pytest.raises(ValueError, match="lengths"):
@@ -273,6 +326,24 @@ class TestCsv:
         assert np.array_equal(parsed.psd, est.psd)
         assert np.array_equal(parsed.stderr, est.stderr)
         assert spectrum_to_csv(parsed) == text
+
+    def test_streamed_file_matches_text(self, tmp_path):
+        est = simulate_spectrum(NoiseModel(lorentzian, 0.1, TONE), BEAT)
+        path = tmp_path / "spectrum.csv"
+        with path.open("w") as fh:
+            write_spectrum_csv(est, fh)
+        assert path.read_bytes() == spectrum_to_csv(est).encode()
+
+    def test_rows_match_per_bin_formatting(self):
+        est = simulate_spectrum(NoiseModel(lorentzian, 0.1, TONE), BEAT)
+        psd = est.psd.copy()
+        psd[[1, 2]] = 0.0, -1.0
+        est = SpectrumEstimate(est.freqs_mhz, psd, est.stderr)
+        expected = []
+        for freq, p, err in zip(est.freqs_mhz, est.psd, est.stderr):
+            p_db = float(10.0 * np.log10(p)) if p > 0 else float("-inf")
+            expected.append(f"{float(freq)!r},{float(p)!r},{p_db!r},{float(err)!r}")
+        assert spectrum_to_csv(est).splitlines()[1:] == expected
 
     def test_header_enforced(self):
         with pytest.raises(ValueError, match="header"):
