@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence, Union
@@ -31,6 +32,7 @@ from .homodyne import (
     symmetric_sideband_noise,
 )
 from .optics_components import (
+    SPLIT_NORM_TOL,
     AbiParams,
     OpoParams,
     abi_efficiency,
@@ -62,6 +64,29 @@ class ConfigError(ValueError):
 # Chain element descriptions
 # ---------------------------------------------------------------------------
 
+def _check_real(owner: str, name: str, value, lo: float = -math.inf, hi: float = math.inf) -> None:
+    """Reject a spec field that is not a finite real number in [lo, hi]."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or not lo <= value <= hi
+    ):
+        bounds = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo:g}, {hi:g}]"
+        raise ConfigError(f"{owner} {name} must be a finite number{bounds}, got {value!r}")
+
+
+def _check_shift(owner: str, shift_mhz) -> None:
+    """Reject a frequency shift that is zero or off the mode-label grid."""
+    _check_real(owner, "shift_mhz", shift_mhz)
+    if shift_mhz == 0:
+        raise ConfigError(f"{owner} shift_mhz must be non-zero")
+    try:
+        ModeLabel.from_mhz(shift_mhz)
+    except ValueError as exc:
+        raise ConfigError(f"{owner} shift_mhz: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """Parametric source at the head of the chain (pump set per run)."""
@@ -70,6 +95,13 @@ class SourceSpec:
     bandwidth_mhz: float = 15.6
     escape_efficiency: float = 1.0
 
+    def __post_init__(self) -> None:
+        for name in ("threshold_mw", "bandwidth_mhz"):
+            _check_real("opo", name, getattr(self, name))
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"opo {name} must be positive")
+        _check_real("opo", "escape_efficiency", self.escape_efficiency, 0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class LossSpec:
@@ -77,6 +109,9 @@ class LossSpec:
 
     label: str
     efficiency: float
+
+    def __post_init__(self) -> None:
+        _check_real("loss", "efficiency", self.efficiency, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -88,6 +123,12 @@ class AbiSpec:
     visibility: float = 1.0
     phi_rad: float = 0.0
 
+    def __post_init__(self) -> None:
+        _check_shift("abi", self.shift_mhz)
+        _check_real("abi", "zeta", self.zeta, 0.0, 1.0)
+        _check_real("abi", "visibility", self.visibility, 0.0, 1.0)
+        _check_real("abi", "phi_rad", self.phi_rad)
+
 
 @dataclass(frozen=True)
 class AomSpec:
@@ -96,6 +137,13 @@ class AomSpec:
     t: float
     r: float
     shift_mhz: float
+
+    def __post_init__(self) -> None:
+        _check_real("aom", "t", self.t)
+        _check_real("aom", "r", self.r)
+        if abs(self.t**2 + self.r**2 - 1.0) > SPLIT_NORM_TOL:
+            raise ConfigError("aom splitting coefficients must satisfy t^2 + r^2 = 1")
+        _check_shift("aom", self.shift_mhz)
 
 
 @dataclass(frozen=True)
@@ -112,6 +160,17 @@ class HdSpec:
     analysis_mhz: tuple[float, ...]
     delta_theta_rad: float = 0.0
     efficiency: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check_real("hd", "lo_offset_mhz", self.lo_offset_mhz)
+        for name in ("thetas_rad", "analysis_mhz"):
+            values = getattr(self, name)
+            if not isinstance(values, tuple):
+                raise ConfigError(f"hd {name} must be a list of numbers, got {values!r}")
+            for value in values:
+                _check_real("hd", name, value)
+        _check_real("hd", "delta_theta_rad", self.delta_theta_rad)
+        _check_real("hd", "efficiency", self.efficiency, 0.0, 1.0)
 
 
 ComponentSpec = Union[SourceSpec, LossSpec, AbiSpec, AomSpec, HdSpec]
@@ -158,6 +217,10 @@ class ScenarioConfig:
                 raise ConfigError("source and readout are allowed only at the chain ends")
             if not isinstance(element, (LossSpec, AbiSpec, AomSpec)):
                 raise ConfigError(f"unknown chain element {element!r}")
+        if sum(isinstance(element, AbiSpec) for element in self.chain) > 1:
+            raise ConfigError(
+                "cascaded tuners are not supported: the chain may hold at most one abi element"
+            )
         if not self.pump_sweep_mw:
             raise ConfigError("at least one pump power required")
         if self.mc_pump_mw is not None:
@@ -171,8 +234,6 @@ class ScenarioConfig:
             raise ConfigError("at least one LO phase required")
         if not hd.analysis_mhz:
             raise ConfigError("at least one analysis frequency required")
-        if not 0.0 <= hd.efficiency <= 1.0:
-            raise ConfigError("detection efficiency must be in [0, 1]")
         shift = self.total_shift_mhz
         if not (
             math.isclose(hd.lo_offset_mhz, 0.0, abs_tol=1e-9)

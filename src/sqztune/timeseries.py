@@ -10,6 +10,22 @@ Conventions: PSD values are per-frequency-bin in SNL units, so a flat PSD of
 comparable to the analytic noise-power curves.  Synthesis draws independent
 Gaussian spectral bins with Hermitian symmetry and amplitude sqrt(PSD),
 giving the target spectrum exactly in expectation with no filter transient.
+
+Each bin k of a round is drawn in polar form, z_k = sqrt(2 w_k) e^{i phi_k}:
+its power w_k = |z_k|^2 / 2 of a unit complex Gaussian is Exp(1) (the
+Box-Muller radius) and its phase is uniform.  A round reads its Philox
+stream as uniform doubles u_j, one 64-bit word each, at fixed positions on
+the grid of m = n/2 + 1 bins:
+
+- words 0 .. m-1: w_k = -log1p(-u_k);
+- words m and m+1: the phases of the real DC and Nyquist bins, whose value
+  is re = sqrt(2 w) cos(phi), so their power is re^2 = 2 w cos^2(phi);
+- words m+2 .. 2m+1: the phase of interior bin k at word m+2+k (the words
+  of k = 0 and k = m-1 are unused).
+
+A tone-free spectrum needs only w, so it reads the first m+2 words; the
+interior phases are read only when a model with interference tones shares
+the round.  Bin k's words sit at fixed counter offsets of the stream.
 """
 
 from __future__ import annotations
@@ -111,23 +127,63 @@ def _round_rng(seed: int, stream: int, round_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+_TWO_PI = 2.0 * np.pi
+
+
+def _bin_powers(words: NDArray[np.float64], m: int) -> NDArray[np.float64]:
+    """The round's first m words turned in place into Exp(1) bin powers
+    w = -log1p(-u); returns that view."""
+    w = words[:m]
+    np.negative(w, out=w)
+    np.log1p(w, out=w)
+    np.negative(w, out=w)
+    return w
+
+
+def _bins(words: NDArray[np.float64], re: NDArray[np.float64], im: NDArray[np.float64]) -> None:
+    """re + i*im = sqrt(2w) e^{i phi} of every bin, from all 2m+2 words
+    after :func:`_bin_powers`.
+
+    One trig call per bin: sin(phi) is taken from cos(phi), positive on the
+    first half-turn.  The DC and Nyquist bins are real (im = 0).  The words
+    serve as scratch: afterwards words[:m] and words[m+2:] hold no draws.
+    """
+    m = re.size
+    w, phase = words[:m], words[m + 2:]
+    phase[[0, -1]] = words[m:m + 2]
+    np.multiply(phase, _TWO_PI, out=re)
+    np.cos(re, out=re)
+    np.multiply(re, re, out=im)
+    np.subtract(1.0, im, out=im)
+    np.sqrt(im, out=im)
+    np.subtract(0.5, phase, out=phase)
+    np.copysign(im, phase, out=im)
+    w *= 2.0
+    np.sqrt(w, out=w)
+    re *= w
+    im *= w
+    im[[0, -1]] = 0.0
+
+
 def synthesize_round(
     model: NoiseModel, acq: AcquisitionParams, round_index: int, stream: int = 0
 ) -> NDArray[np.float64]:
     """One simulated voltage record with the model's spectrum.
 
     Fully reproducible: the trace is a pure function of
-    (acq.rng_seed, stream, round_index).
+    (acq.rng_seed, stream, round_index); its bins are drawn from the word
+    layout in the module docstring.
     """
     if round_index < 0 or stream < 0:
         raise ValueError("round index and stream must be non-negative")
     n = acq.samples_per_round
-    freqs = acq.grid_mhz
-    target = model.target_psd(freqs)
+    m = n // 2 + 1
+    target = model.target_psd(acq.grid_mhz)
 
-    rng = _round_rng(acq.rng_seed, stream, round_index)
-    re = rng.standard_normal(freqs.size)
-    im = rng.standard_normal(freqs.size)
+    words = _round_rng(acq.rng_seed, stream, round_index).random(2 * m + 2)
+    re, im = np.empty(m), np.empty(m)
+    _bin_powers(words, m)
+    _bins(words, re, im)
     spectrum = np.sqrt(target * n / 2.0) * (re + 1j * im)
     # DC and Nyquist bins of a real signal are real-valued.
     spectrum[0] = np.sqrt(target[0] * n) * re[0]
@@ -205,16 +261,15 @@ def estimate_spectrum(
     return SpectrumEstimate(acq.grid_mhz, mean, stderr, normalization="raw")
 
 
-def _estimate(acq: AcquisitionParams, total, total_sq) -> SpectrumEstimate:
+def _estimate(freqs: NDArray[np.float64], rounds: int, total, total_sq) -> SpectrumEstimate:
     """Mean and standard error from per-bin sums of periodograms over rounds."""
-    rounds = acq.rounds
     mean = total / rounds
     if rounds > 1:
         var = np.maximum(total_sq - total * total / rounds, 0.0) / (rounds - 1)
         stderr = np.sqrt(var / rounds)
     else:
         stderr = np.zeros_like(mean)
-    return SpectrumEstimate(acq.grid_mhz, mean, stderr, normalization="raw")
+    return SpectrumEstimate(freqs, mean, stderr, normalization="raw")
 
 
 def simulate_spectra(
@@ -223,21 +278,26 @@ def simulate_spectra(
     """Averaged periodograms of several models that share one stream's draws.
 
     Round r of each model is the record ``synthesize_round(model, acq, r,
-    stream)``, but its periodogram is built from the drawn bins z directly as
-    |a*z + T|^2 / n, with bin amplitudes a = sqrt(target * n / 2) and the
-    tone spectrum T = rfft(tones); this equals ``periodogram`` of the record
-    up to the rounding of the irfft/rfft round trip.  Without tones it is
-    target * w with w = |z|^2 / 2 (re^2 at DC and Nyquist), so the draws are
-    reduced once per round for every tone-free model and scaled at the end.
-    Rounds stream through preallocated buffers in a fixed order: memory stays
-    flat in acq.rounds and the result is deterministic.
+    stream)``, but its periodogram is built from the drawn bins directly.
+    Without tones it is target * w, with w the Exp(1) bin powers (2 w
+    cos^2(phi) at DC and Nyquist; see the module docstring), so a round of
+    tone-free models reads m+2 words of its stream, reduces them once and the
+    sums are scaled by each target PSD at the end.  A model with tones needs
+    the bins z = sqrt(2w) e^{i phi} themselves: its periodogram is
+    |a*z + T|^2 / n with bin amplitudes a = sqrt(target * n / 2) and the tone
+    spectrum T = rfft(tones), and the round reads all 2m+2 words.  Either
+    way the result equals ``periodogram`` of the record up to the rounding
+    of the irfft/rfft round trip, and a tone-free model's spectrum is the
+    same bit for bit whether or not a model with tones shares the call.
+    Rounds stream through preallocated buffers in a fixed order: memory
+    stays flat in acq.rounds and the result is deterministic.
     """
     if stream < 0:
         raise ValueError("stream must be non-negative")
     n = acq.samples_per_round
     m = n // 2 + 1
-    targets = [model.target_psd(acq.grid_mhz) for model in models]
-    re, im, w, buf = (np.empty(m) for _ in range(4))
+    freqs = acq.grid_mhz
+    targets = [model.target_psd(freqs) for model in models]
     w_sum, w_sumsq = np.zeros(m), np.zeros(m)
     # Models with tones: index -> (amplitude of re, of im, T.real, T.imag,
     # periodogram sum, sum of squares).  DC and Nyquist bins are real-valued.
@@ -250,36 +310,44 @@ def simulate_spectra(
             a_im = a_re.copy()
             a_im[[0, -1]] = 0.0
             toned[i] = (a_re, a_im, tone.real.copy(), tone.imag.copy(), np.zeros(m), np.zeros(m))
+    tone_free = len(toned) < len(models)
+    words = np.empty(2 * m + 2 if toned else m + 2)
+    # re is also the tone-free models' scratch, before _bins fills it; after
+    # _bins, the two halves of words are the toned models' scratch.
+    re = np.empty(m)
+    im = np.empty(m) if toned else None
+    gram, part = words[:m], words[m + 2:]
 
     for round_index in range(acq.rounds):
-        rng = _round_rng(acq.rng_seed, stream, round_index)
-        rng.standard_normal(out=re)
-        rng.standard_normal(out=im)
-        if len(toned) < len(models):
-            np.multiply(re, re, out=w)
-            np.multiply(im, im, out=buf)
-            w += buf
-            w *= 0.5
-            w[[0, -1]] = re[[0, -1]] ** 2
-            w_sum += w
-            w *= w
-            w_sumsq += w
+        _round_rng(acq.rng_seed, stream, round_index).random(out=words)
+        w = _bin_powers(words, m)
+        if tone_free:
+            # The real DC and Nyquist bins have power re^2 = 2 w cos^2(phi).
+            np.copyto(re, w)
+            cos = np.cos(_TWO_PI * words[m:m + 2])
+            re[[0, -1]] *= 2.0 * cos * cos
+            w_sum += re
+            re *= re
+            w_sumsq += re
+        if not toned:
+            continue
+        _bins(words, re, im)
         for a_re, a_im, t_re, t_im, total, total_sq in toned.values():
-            np.multiply(a_re, re, out=w)
-            w += t_re
-            w *= w
-            np.multiply(a_im, im, out=buf)
-            buf += t_im
-            buf *= buf
-            w += buf
-            w /= n
-            total += w
-            w *= w
-            total_sq += w
+            np.multiply(a_re, re, out=gram)
+            gram += t_re
+            gram *= gram
+            np.multiply(a_im, im, out=part)
+            part += t_im
+            part *= part
+            gram += part
+            gram /= n
+            total += gram
+            gram *= gram
+            total_sq += gram
 
     return [
-        _estimate(acq, *toned[i][4:]) if i in toned
-        else _estimate(acq, target * w_sum, target * target * w_sumsq)
+        _estimate(freqs, acq.rounds, *toned[i][4:]) if i in toned
+        else _estimate(freqs, acq.rounds, target * w_sum, target * target * w_sumsq)
         for i, target in enumerate(targets)
     ]
 

@@ -68,6 +68,49 @@ class TestRun:
         assert main(["run", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "builtin, path, value",
+        [
+            ("fig4a", ("chain", 1, "efficiency"), 1.5),
+            ("fig5b", ("chain", 2, "visibility"), float("nan")),
+            ("fig4a", ("chain", -1, "thetas_rad"), [float("nan")]),
+            ("fig4a", ("chain", -1, "thetas_rad"), ["a"]),
+            ("fig4a", ("chain", -1, "delta_theta_rad"), float("nan")),
+            ("fig4a", ("chain", 0, "threshold_mw"), float("nan")),
+            ("fig5b", ("chain", 2, "phi_rad"), float("inf")),
+        ],
+        ids=["loss-efficiency-1.5", "abi-visibility-nan", "theta-nan", "theta-str",
+             "delta-theta-nan", "opo-threshold-nan", "abi-phase-inf"],
+    )
+    def test_invalid_chain_spec_exits_2(self, tmp_path, capsys, builtin, path, value):
+        data = scenario_to_dict(get_scenario(builtin))
+        *keys, last = path
+        target = data
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(data))
+        assert main(["run", str(config), "--mode", "analytic"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "second_shift, lo_offset", [(-80.0, 0.0), (80.0, 160.0)], ids=["up-down", "up-up"]
+    )
+    def test_cascaded_tuners_exit_2(self, tmp_path, capsys, second_shift, lo_offset):
+        data = scenario_to_dict(get_scenario("fig5b"))
+        tuner = dict(data["chain"][2], shift_mhz=second_shift)
+        data["chain"].insert(-1, tuner)
+        data["chain"][-1]["lo_offset_mhz"] = lo_offset
+        config = tmp_path / "cascade.json"
+        config.write_text(json.dumps(data))
+        assert main(["run", str(config), "--mode", "analytic"]) == 2
+        err = capsys.readouterr().err
+        assert "cascaded tuners" in err
+        assert "Traceback" not in err
+
     def test_too_few_rounds_exits_2_without_traceback(self, tmp_path, capsys):
         data = scenario_to_dict(get_scenario("fig4a"))
         data["acquisition"]["rounds"] = 3

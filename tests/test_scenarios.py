@@ -9,6 +9,7 @@ from sqztune.scenarios import (
     REFERENCE_TABLE,
     AbiSpec,
     AcquisitionParams,
+    AomSpec,
     ConfigError,
     HdSpec,
     LossSpec,
@@ -181,6 +182,27 @@ class TestValidation:
     def test_mc_pump_outside_sweep_rejected(self):
         with pytest.raises(ConfigError, match="not in the sweep"):
             simple_config(mc_pump_mw=(90.0,))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SourceSpec(threshold_mw=float("nan")),
+            lambda: SourceSpec(bandwidth_mhz=0.0),
+            lambda: LossSpec("coupling", -0.1),
+            lambda: AbiSpec(zeta=True),
+            lambda: AbiSpec(shift_mhz=80.005),
+            lambda: AomSpec(0.6, 0.6, 80.0),
+            lambda: AomSpec(0.6, 0.8, 0.0),
+            lambda: HdSpec(0.0, 0.0, (1.55,)),
+            lambda: HdSpec(0.0, (0.0,), (1.55,), efficiency=1.2),
+        ],
+        ids=["opo-threshold-nan", "opo-bandwidth-0", "loss-negative", "abi-zeta-bool",
+             "abi-shift-off-grid", "aom-unnormalized", "aom-zero-shift", "hd-theta-scalar",
+             "hd-efficiency-1.2"],
+    )
+    def test_bad_element_values_rejected(self, make):
+        with pytest.raises(ConfigError, match="opo|loss|abi|aom|hd"):
+            make()
 
 
 class TestRunScenario:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,44 @@ class TestSynthesizeRound:
         assert gram[k - 3] < 1e-15
 
 
+class TestDrawMap:
+    """The seed->numbers map of one round (word layout in the timeseries docstring)."""
+
+    UNIT = NoiseModel(flat(1.0), electronic_floor=0.0)
+
+    def test_golden_bin_powers(self):
+        # With a unit PSD and one round the spectrum is the bin powers w.
+        est = simulate_spectrum(self.UNIT, replace(SMALL, rounds=1), stream=7)
+        m = est.psd.size
+        words = np.random.Generator(np.random.Philox(np.random.SeedSequence((99, 7, 0)))).random(m + 2)
+        w = -np.log1p(-words[:m])
+        cos = np.cos(2.0 * np.pi * words[m:])
+        w[[0, -1]] *= 2.0 * cos * cos
+        assert np.array_equal(est.psd[1:-1], w[1:-1])
+        assert np.allclose(est.psd[[0, -1]], w[[0, -1]], rtol=1e-15, atol=0.0)
+        golden = [0.38609282945457946, 1.8033230461763887, 3.761518950551319,
+                  0.5968580784421207, 1.0074623100264621]
+        assert np.allclose(est.psd[:5], golden, rtol=1e-14, atol=0.0)
+        assert est.psd[-1] == pytest.approx(1.8923377535331098, rel=1e-14)
+
+    def test_interior_powers_are_exp1(self):
+        acq = replace(SMALL, samples_per_round=2**17, rounds=1)
+        w = simulate_spectrum(self.UNIT, acq, stream=2).psd[1:-1]
+        # standard errors at 65,535 bins: 0.004 on the mean, 0.011 on the variance
+        assert w.mean() == pytest.approx(1.0, abs=0.02)
+        assert w.var() == pytest.approx(1.0, abs=0.06)
+
+    def test_dc_and_nyquist_powers_are_chi2_1(self):
+        # two samples per round: the grid is the DC and Nyquist bins alone
+        rounds = 20_000
+        acq = replace(SMALL, samples_per_round=2, rounds=rounds)
+        est = simulate_spectrum(self.UNIT, acq, stream=3)
+        var = est.stderr**2 * rounds
+        # standard errors at 20,000 rounds: 0.01 on the mean, 0.053 on the variance
+        assert np.allclose(est.psd, 1.0, atol=0.05)
+        assert np.allclose(var, 2.0, atol=0.3)
+
+
 class TestEstimateSpectrum:
     def test_zero_traces_give_zero_psd(self):
         traces = [np.zeros(SMALL.samples_per_round)]
@@ -191,6 +231,10 @@ class TestEstimateSpectrum:
             alone = simulate_spectrum(model, BEAT, stream=5)
             assert np.allclose(est.psd, alone.psd, rtol=1e-12, atol=0.0)
             assert np.allclose(est.stderr, alone.stderr, rtol=1e-12, atol=0.0)
+            if not model.interference_tones:
+                # a tone-free model reads the same words with or without a toned one
+                assert np.array_equal(est.psd, alone.psd)
+                assert np.array_equal(est.stderr, alone.stderr)
 
     def test_inconsistent_lengths_rejected(self):
         with pytest.raises(ValueError, match="lengths"):
