@@ -46,6 +46,7 @@ from .timeseries import (
     NoiseModel,
     SpectrumEstimate,
     band_power,
+    band_slice,
     calibrate,
     simulate_spectra,
     simulate_spectrum,
@@ -525,12 +526,22 @@ def _acquisition(cfg: ScenarioConfig, seed: int | None) -> AcquisitionParams:
         raise ConfigError(str(exc)) from None
 
 
-def _noise_spectra(cfg: ScenarioConfig, acq: AcquisitionParams) -> dict[str, SpectrumEstimate]:
+def _analysis_bins(cfg: ScenarioConfig, acq: AcquisitionParams) -> slice:
+    """Grid bins of the analysis bands; a band that holds no bin is a ConfigError."""
+    try:
+        return band_slice(acq, cfg.hd.analysis_mhz)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} on the {acq.samples_per_round}-sample grid") from None
+
+
+def _noise_spectra(
+    cfg: ScenarioConfig, acq: AcquisitionParams, bins: slice
+) -> dict[str, SpectrumEstimate]:
     snl_model = NoiseModel(_flat_psd(1.0), cfg.electronic_floor, ())
     elec_model = NoiseModel(None, cfg.electronic_floor, ())
     return {
-        "snl": simulate_spectrum(snl_model, acq, stream=_SNL_STREAM),
-        "electronic": simulate_spectrum(elec_model, acq, stream=_ELECTRONIC_STREAM),
+        "snl": simulate_spectrum(snl_model, acq, stream=_SNL_STREAM, bins=bins),
+        "electronic": simulate_spectrum(elec_model, acq, stream=_ELECTRONIC_STREAM, bins=bins),
     }
 
 
@@ -540,6 +551,7 @@ def run_scenario(
     seed: int | None = None,
     *,
     noise: dict[str, SpectrumEstimate] | None = None,
+    bands_only: bool = False,
 ) -> ScenarioResult:
     """Execute a scenario: analytic values, optional Monte-Carlo spectra,
     and pass/fail against the reference table.
@@ -547,6 +559,11 @@ def run_scenario(
     ``noise`` passes in the 'snl' and 'electronic' spectra of this
     acquisition, seed and electronic floor, which :func:`sweep` simulates once
     for all of its values; when None, they are simulated here.
+
+    With ``bands_only`` the Monte-Carlo spectra cover only the grid bins of
+    the analysis bands (:func:`band_slice`), so calibration checks only
+    those bins and ``spectra`` stays empty; the rows are the same bit for
+    bit.  By default every spectrum covers the whole grid and is returned.
     """
     mode = cfg.mode if mode is None else mode
     if mode not in MODES:
@@ -559,8 +576,11 @@ def run_scenario(
     thetas = cfg.hd.thetas_rad
     spectra: dict[str, SpectrumEstimate] = {}
     if want_mc:
-        noise = _noise_spectra(cfg, acq) if noise is None else noise
-        spectra.update(noise)
+        band_bins = _analysis_bins(cfg, acq)  # checked on both paths
+        bins = band_bins if bands_only else slice(None)
+        noise = _noise_spectra(cfg, acq, bins) if noise is None else noise
+        if not bands_only:
+            spectra.update(noise)
 
     rows: list[ResultRow] = []
     for pump_index, pump in enumerate(cfg.pump_sweep_mw):
@@ -574,7 +594,9 @@ def run_scenario(
             # Common random numbers across LO phases of one pump point: phase
             # comparisons then reflect the model, not draw-to-draw scatter.
             # Streams stay independent across pumps and traces.
-            estimates = simulate_spectra(models, acq, stream=_SIGNAL_STREAM_BASE + pump_index)
+            estimates = simulate_spectra(
+                models, acq, stream=_SIGNAL_STREAM_BASE + pump_index, bins=bins
+            )
             for i, (theta, signal_est) in enumerate(zip(thetas, estimates)):
                 try:
                     corrected[i] = calibrate(signal_est, noise["snl"], noise["electronic"])
@@ -582,9 +604,10 @@ def run_scenario(
                     raise ConfigError(
                         f"{exc} at {acq.rounds} rounds; raise acquisition.rounds"
                     ) from None
-                key = f"pump{pump:g}mW_{_theta_tag(theta)}"
-                spectra[f"{key}_raw"] = signal_est
-                spectra[f"{key}_corrected"] = corrected[i]
+                if not bands_only:
+                    key = f"pump{pump:g}mW_{_theta_tag(theta)}"
+                    spectra[f"{key}_raw"] = signal_est
+                    spectra[f"{key}_corrected"] = corrected[i]
 
         for theta, corrected_est in zip(thetas, corrected):
             for analysis in cfg.hd.analysis_mhz:
@@ -662,7 +685,8 @@ def sweep(
 
     Returns one record per value with the squeezed (theta = 0) and
     antisqueezed (theta = pi/2) noise in dB; Monte-Carlo columns are filled
-    when the effective mode includes it.
+    when the effective mode includes it.  Monte-Carlo spectra cover only the
+    analysis band's bins (``run_scenario(..., bands_only=True)``).
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMETERS}")
@@ -675,7 +699,8 @@ def sweep(
     # noise spectra are simulated once per sweep.
     noise = None
     if mode in ("montecarlo", "both"):
-        noise = _noise_spectra(cfg, _acquisition(cfg, seed))
+        acq = _acquisition(cfg, seed)
+        noise = _noise_spectra(cfg, acq, _analysis_bins(cfg, acq))
 
     base = _with_hd(cfg, thetas_rad=(0.0, math.pi / 2))
     base = replace(base, pump_sweep_mw=(cfg.pump_sweep_mw[0],), mc_pump_mw=None)
@@ -687,7 +712,7 @@ def sweep(
             variant = _with_hd(base, delta_theta_rad=float(value))
         else:
             variant = _with_hd(base, efficiency=float(value))
-        result = run_scenario(variant, mode=mode, seed=seed, noise=noise)
+        result = run_scenario(variant, mode=mode, seed=seed, noise=noise, bands_only=True)
         first_band = variant.hd.analysis_mhz[0]
         by_theta = {
             round(math.degrees(r.theta_rad)): r

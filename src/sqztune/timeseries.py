@@ -26,11 +26,21 @@ the grid of m = n/2 + 1 bins:
 A tone-free spectrum needs only w, so it reads the first m+2 words; the
 interior phases are read only when a model with interference tones shares
 the round.  Bin k's words sit at fixed counter offsets of the stream.
+
+A range of bins k0 .. k1-1 is read by those offsets.  Philox makes its words
+four per counter block, so a round seeks to word j with Philox.advance(j // 4)
+and drops j % 4 words.  It reads the range's power words k0 .. k1-1, the DC
+or Nyquist phase word (m or m+1) when the range holds bin 0 or bin m-1, and,
+for a toned round, the phase words m+2+k0 .. m+2+k1-1.  Every bin gets the
+same words as in a whole-grid read, so its values are the same bit for bit;
+the whole grid is the range 0 .. m-1, whose words are one contiguous run.
 """
 
 from __future__ import annotations
 
 import io
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
@@ -55,6 +65,15 @@ class AcquisitionParams:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("samples_per_round", "rounds", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"acquisition {name} must be an integer, got {value!r}")
+        for name in ("sample_rate_msps", "band_center_mhz", "band_width_mhz"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"acquisition {name} must be a finite number, got {value!r}")
         if self.sample_rate_msps <= 0:
             raise ValueError("sample rate must be positive")
         if self.samples_per_round < 2 or self.samples_per_round % 2:
@@ -127,6 +146,55 @@ def _round_rng(seed: int, stream: int, round_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _read_words(
+    rng: np.random.Generator, runs: Sequence[tuple[int, int, int]], words: NDArray[np.float64]
+) -> None:
+    """Fill words[lo:hi] with the stream's uniform doubles from word ``start``
+    on, for each (start, lo, hi) of ``runs`` in increasing ``start``.
+
+    Philox draws its words four per counter block, so the stream skips to a
+    word by advancing the counter over whole blocks and dropping the rest.
+    """
+    bitgen = rng.bit_generator
+    pos = 0  # stream words consumed; their blocks are drawn
+    for start, lo, hi in runs:
+        skip = start // 4 + pos // -4  # undrawn blocks before word start
+        if skip > 0:
+            bitgen.advance(skip)
+            pos = start - start % 4
+        if start > pos:
+            bitgen.random_raw(start - pos)
+        rng.random(out=words[lo:hi])
+        pos = start + hi - lo
+
+
+def _word_runs(k0: int, k1: int, m: int, toned: bool) -> list[tuple[int, int, int]]:
+    """The (stream word, buffer start, buffer stop) runs a round of bins
+    k0 .. k1-1 reads, runs that continue in the stream merged.
+
+    The buffer holds the nb = k1 - k0 power words, then the DC and the
+    Nyquist phase slots, then (toned rounds) the nb interior phase words, so
+    two runs that continue in the stream also continue in the buffer, and on
+    the whole grid the buffer is the stream's first m+2 or 2m+2 words.
+    """
+    nb = k1 - k0
+    runs = [(k0, 0, nb)]
+    if k0 == 0:
+        runs.append((m, nb, nb + 1))
+    if k1 == m:
+        runs.append((m + 1, nb + 1, nb + 2))
+    if toned:
+        runs.append((m + 2 + k0, nb + 2, 2 * nb + 2))
+    merged = runs[:1]
+    for start, lo, hi in runs[1:]:
+        prev_start, prev_lo, prev_hi = merged[-1]
+        if start == prev_start + prev_hi - prev_lo:
+            merged[-1] = (prev_start, prev_lo, hi)
+        else:
+            merged.append((start, lo, hi))
+    return merged
+
+
 _TWO_PI = 2.0 * np.pi
 
 
@@ -140,17 +208,22 @@ def _bin_powers(words: NDArray[np.float64], m: int) -> NDArray[np.float64]:
     return w
 
 
-def _bins(words: NDArray[np.float64], re: NDArray[np.float64], im: NDArray[np.float64]) -> None:
-    """re + i*im = sqrt(2w) e^{i phi} of every bin, from all 2m+2 words
-    after :func:`_bin_powers`.
+def _bins(
+    words: NDArray[np.float64], re: NDArray[np.float64], im: NDArray[np.float64],
+    edges: list[int], edge_words: list[int],
+) -> None:
+    """re + i*im = sqrt(2w) e^{i phi} of every bin, from the 2nb+2 words of
+    a toned round (see :func:`_word_runs`) after :func:`_bin_powers`.
 
-    One trig call per bin: sin(phi) is taken from cos(phi), positive on the
-    first half-turn.  The DC and Nyquist bins are real (im = 0).  The words
-    serve as scratch: afterwards words[:m] and words[m+2:] hold no draws.
+    ``edges`` are the positions of the real DC and Nyquist bins among the
+    nb bins, and ``edge_words`` the buffer slots of their phase words.  One
+    trig call per bin: sin(phi) is taken from cos(phi), positive on the
+    first half-turn.  The real bins have im = 0.  The words serve as
+    scratch: afterwards words[:nb] and words[nb+2:] hold no draws.
     """
-    m = re.size
-    w, phase = words[:m], words[m + 2:]
-    phase[[0, -1]] = words[m:m + 2]
+    nb = re.size
+    w, phase = words[:nb], words[nb + 2:]
+    phase[edges] = words[edge_words]
     np.multiply(phase, _TWO_PI, out=re)
     np.cos(re, out=re)
     np.multiply(re, re, out=im)
@@ -162,7 +235,7 @@ def _bins(words: NDArray[np.float64], re: NDArray[np.float64], im: NDArray[np.fl
     np.sqrt(w, out=w)
     re *= w
     im *= w
-    im[[0, -1]] = 0.0
+    im[edges] = 0.0
 
 
 def synthesize_round(
@@ -183,7 +256,7 @@ def synthesize_round(
     words = _round_rng(acq.rng_seed, stream, round_index).random(2 * m + 2)
     re, im = np.empty(m), np.empty(m)
     _bin_powers(words, m)
-    _bins(words, re, im)
+    _bins(words, re, im, [0, m - 1], [m, m + 1])
     spectrum = np.sqrt(target * n / 2.0) * (re + 1j * im)
     # DC and Nyquist bins of a real signal are real-valued.
     spectrum[0] = np.sqrt(target[0] * n) * re[0]
@@ -273,7 +346,8 @@ def _estimate(freqs: NDArray[np.float64], rounds: int, total, total_sq) -> Spect
 
 
 def simulate_spectra(
-    models: Sequence[NoiseModel], acq: AcquisitionParams, stream: int = 0
+    models: Sequence[NoiseModel], acq: AcquisitionParams, stream: int = 0,
+    bins: slice = slice(None),
 ) -> list[SpectrumEstimate]:
     """Averaged periodograms of several models that share one stream's draws.
 
@@ -281,57 +355,77 @@ def simulate_spectra(
     stream)``, but its periodogram is built from the drawn bins directly.
     Without tones it is target * w, with w the Exp(1) bin powers (2 w
     cos^2(phi) at DC and Nyquist; see the module docstring), so a round of
-    tone-free models reads m+2 words of its stream, reduces them once and the
-    sums are scaled by each target PSD at the end.  A model with tones needs
-    the bins z = sqrt(2w) e^{i phi} themselves: its periodogram is
+    tone-free models reads one word per bin, reduces them once and the sums
+    are scaled by each target PSD at the end.  A model with tones needs the
+    bins z = sqrt(2w) e^{i phi} themselves: its periodogram is
     |a*z + T|^2 / n with bin amplitudes a = sqrt(target * n / 2) and the tone
-    spectrum T = rfft(tones), and the round reads all 2m+2 words.  Either
-    way the result equals ``periodogram`` of the record up to the rounding
-    of the irfft/rfft round trip, and a tone-free model's spectrum is the
-    same bit for bit whether or not a model with tones shares the call.
-    Rounds stream through preallocated buffers in a fixed order: memory
-    stays flat in acq.rounds and the result is deterministic.
+    spectrum T = rfft(tones), and the round also reads each bin's phase word.
+    Either way the result equals ``periodogram`` of the record up to the
+    rounding of the irfft/rfft round trip, and a tone-free model's spectrum
+    is the same bit for bit whether or not a model with tones shares the call.
+
+    ``bins`` selects a range of the m = n/2 + 1 grid bins (default: all).
+    Each round reads only that range's words, seeking to them by counter
+    offset (see the module docstring), and the estimates cover only those
+    bins; they equal the whole-grid estimates' slice bit for bit.  Rounds
+    stream through preallocated buffers in a fixed order: memory stays flat
+    in acq.rounds and the result is deterministic.
     """
     if stream < 0:
         raise ValueError("stream must be non-negative")
     n = acq.samples_per_round
     m = n // 2 + 1
-    freqs = acq.grid_mhz
+    k0, k1, step = bins.indices(m)
+    if step != 1 or k1 <= k0:
+        raise ValueError(f"bins must be a non-empty, unit-step range of the {m} grid bins")
+    nb = k1 - k0
+    freqs = acq.grid_mhz[k0:k1]
     targets = [model.target_psd(freqs) for model in models]
-    w_sum, w_sumsq = np.zeros(m), np.zeros(m)
+    # Positions of the real DC and Nyquist bins in the range, and the buffer
+    # slots of their phase words (see _word_runs).
+    edges, edge_words = [], []
+    if k0 == 0:
+        edges.append(0)
+        edge_words.append(nb)
+    if k1 == m:
+        edges.append(nb - 1)
+        edge_words.append(nb + 1)
+    w_sum, w_sumsq = np.zeros(nb), np.zeros(nb)
     # Models with tones: index -> (amplitude of re, of im, T.real, T.imag,
     # periodogram sum, sum of squares).  DC and Nyquist bins are real-valued.
     toned = {}
     for i, (model, target) in enumerate(zip(models, targets)):
         if model.interference_tones:
-            tone = np.fft.rfft(_add_tones(np.zeros(n), model, acq))
+            tone = np.fft.rfft(_add_tones(np.zeros(n), model, acq))[k0:k1]
             a_re = np.sqrt(target * n / 2.0)
-            a_re[[0, -1]] = np.sqrt(target[[0, -1]] * n)
+            a_re[edges] = np.sqrt(target[edges] * n)
             a_im = a_re.copy()
-            a_im[[0, -1]] = 0.0
-            toned[i] = (a_re, a_im, tone.real.copy(), tone.imag.copy(), np.zeros(m), np.zeros(m))
+            a_im[edges] = 0.0
+            toned[i] = (a_re, a_im, tone.real.copy(), tone.imag.copy(), np.zeros(nb), np.zeros(nb))
     tone_free = len(toned) < len(models)
-    words = np.empty(2 * m + 2 if toned else m + 2)
+    runs = _word_runs(k0, k1, m, bool(toned))
+    words = np.empty(2 * nb + 2 if toned else nb + 2)
     # re is also the tone-free models' scratch, before _bins fills it; after
     # _bins, the two halves of words are the toned models' scratch.
-    re = np.empty(m)
-    im = np.empty(m) if toned else None
-    gram, part = words[:m], words[m + 2:]
+    re = np.empty(nb)
+    im = np.empty(nb) if toned else None
+    gram, part = words[:nb], words[nb + 2:]
 
     for round_index in range(acq.rounds):
-        _round_rng(acq.rng_seed, stream, round_index).random(out=words)
-        w = _bin_powers(words, m)
+        _read_words(_round_rng(acq.rng_seed, stream, round_index), runs, words)
+        w = _bin_powers(words, nb)
         if tone_free:
-            # The real DC and Nyquist bins have power re^2 = 2 w cos^2(phi).
             np.copyto(re, w)
-            cos = np.cos(_TWO_PI * words[m:m + 2])
-            re[[0, -1]] *= 2.0 * cos * cos
+            if edges:
+                # The real DC and Nyquist bins have power re^2 = 2 w cos^2(phi).
+                cos = np.cos(_TWO_PI * words[edge_words])
+                re[edges] *= 2.0 * cos * cos
             w_sum += re
             re *= re
             w_sumsq += re
         if not toned:
             continue
-        _bins(words, re, im)
+        _bins(words, re, im, edges, edge_words)
         for a_re, a_im, t_re, t_im, total, total_sq in toned.values():
             np.multiply(a_re, re, out=gram)
             gram += t_re
@@ -353,14 +447,14 @@ def simulate_spectra(
 
 
 def simulate_spectrum(
-    model: NoiseModel, acq: AcquisitionParams, stream: int = 0
+    model: NoiseModel, acq: AcquisitionParams, stream: int = 0, bins: slice = slice(None)
 ) -> SpectrumEstimate:
     """Synthesize acq.rounds records and average their periodograms.
 
     Reproduces ``estimate_spectrum`` over ``synthesize_round`` records of the
     same (seed, stream) without forming them; see :func:`simulate_spectra`.
     """
-    return simulate_spectra([model], acq, stream)[0]
+    return simulate_spectra([model], acq, stream, bins)[0]
 
 
 def mean_power(spec: SpectrumEstimate) -> float:
@@ -369,24 +463,34 @@ def mean_power(spec: SpectrumEstimate) -> float:
     return float((spec.psd[0] + 2.0 * spec.psd[1:-1].sum() + spec.psd[-1]) / n)
 
 
-def _band_mask(spec: SpectrumEstimate, center_mhz: float, width_mhz: float):
+def _band_mask(freqs_mhz: NDArray[np.float64], center_mhz: float, width_mhz: float):
     lo = center_mhz - width_mhz / 2.0
     hi = center_mhz + width_mhz / 2.0
     pad = 1e-9 * max(1.0, abs(center_mhz))
-    mask = (spec.freqs_mhz >= lo - pad) & (spec.freqs_mhz <= hi + pad)
+    mask = (freqs_mhz >= lo - pad) & (freqs_mhz <= hi + pad)
     if not np.any(mask):
         raise ValueError(f"no spectrum bins inside {center_mhz}+-{width_mhz/2} MHz")
     return mask
 
 
+def band_slice(acq: AcquisitionParams, centers_mhz: Sequence[float]) -> slice:
+    """The smallest range of grid bins that holds every bin :func:`band_power`
+    integrates over the bands ``centers_mhz`` +- acq.band_width_mhz / 2."""
+    grid = acq.grid_mhz
+    inside = np.flatnonzero(
+        np.logical_or.reduce([_band_mask(grid, c, acq.band_width_mhz) for c in centers_mhz])
+    )
+    return slice(int(inside[0]), int(inside[-1]) + 1)
+
+
 def band_power(spec: SpectrumEstimate, center_mhz: float, width_mhz: float) -> float:
     """Mean PSD over the bins whose centers fall inside the band."""
-    return float(spec.psd[_band_mask(spec, center_mhz, width_mhz)].mean())
+    return float(spec.psd[_band_mask(spec.freqs_mhz, center_mhz, width_mhz)].mean())
 
 
 def band_power_stderr(spec: SpectrumEstimate, center_mhz: float, width_mhz: float) -> float:
     """Standard error of :func:`band_power` assuming independent bins."""
-    err = spec.stderr[_band_mask(spec, center_mhz, width_mhz)]
+    err = spec.stderr[_band_mask(spec.freqs_mhz, center_mhz, width_mhz)]
     return float(np.sqrt(np.sum(err**2)) / err.size)
 
 

@@ -111,6 +111,23 @@ class TestRun:
         assert "cascaded tuners" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rounds", 2.5), ("rng_seed", 1.5), ("samples_per_round", 4096.0),
+         ("band_width_mhz", float("nan")), ("rounds", True), ("sample_rate_msps", float("nan"))],
+        ids=["rounds-2.5", "seed-1.5", "samples-float", "band-width-nan", "rounds-true",
+             "sample-rate-nan"],
+    )
+    def test_invalid_acquisition_exits_2(self, tmp_path, capsys, field, value):
+        data = scenario_to_dict(get_scenario("fig4a"))
+        data["acquisition"][field] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(data))
+        assert main(["run", str(config), "--mode", "montecarlo"]) == 2
+        err = capsys.readouterr().err
+        assert f"acquisition {field} must be" in err
+        assert "Traceback" not in err
+
     def test_too_few_rounds_exits_2_without_traceback(self, tmp_path, capsys):
         data = scenario_to_dict(get_scenario("fig4a"))
         data["acquisition"]["rounds"] = 3
@@ -142,6 +159,19 @@ class TestSweep:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "parameter,value,squeezed_db,antisqueezed_db"
         assert len(lines) == 4
+
+    def test_failing_bin_in_band_exits_2(self, tmp_path, capsys):
+        # At 2 rounds and seed 0 one bin of this 1.55 +- 0.2 MHz band has its
+        # shot-noise estimate under the electronic one.
+        data = scenario_to_dict(get_scenario("fig4a"))
+        data["acquisition"].update(samples_per_round=4096, rounds=2, band_width_mhz=0.4)
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps(data))
+        argv = ["sweep", str(config), "--param", "pump_mw", "--values", "450", "--mode", "both"]
+        assert main(argv + ["--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "in 1 bins" in err and "at 2 rounds; raise acquisition.rounds" in err
+        assert "Traceback" not in err
 
     def test_bad_values_exit_2(self, capsys):
         assert main(["sweep", "fig4b", "--param", "pump_mw", "--values", "ten,20"]) == 2

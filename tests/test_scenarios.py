@@ -28,6 +28,7 @@ from sqztune.scenarios import (
     sweep,
     sweep_csv,
 )
+from sqztune.timeseries import band_slice
 
 FAST_ACQ = dict(
     sample_rate_msps=50.0,
@@ -240,6 +241,37 @@ class TestRunScenario:
         assert "pump450mW_theta90_corrected" in result.spectra
         assert result.spectra["pump450mW_theta0_corrected"].normalization == "corrected"
 
+    @pytest.mark.parametrize("rounds", [16, 200])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_band_path_rows_equal_whole_grid_rows(self, name, rounds):
+        cfg = get_scenario(name)
+        cfg = replace(cfg, acquisition=replace(cfg.acquisition, rounds=rounds))
+        whole = run_scenario(cfg, mode="montecarlo", seed=13)
+        bands = run_scenario(cfg, mode="montecarlo", seed=13, bands_only=True)
+        assert [row.mc_db for row in bands.rows] == [row.mc_db for row in whole.rows]
+        assert bands.spectra == {}
+
+    @pytest.mark.parametrize(
+        "analysis, tones",
+        [(1.55, ((1.6, 5.0),)), (0.03, ()), (0.03, ((0.1, 5.0),))],
+        ids=["tone-in-band", "dc-band", "dc-band-tone"],
+    )
+    def test_band_path_reads_tones_and_dc_bin_exactly(self, analysis, tones):
+        hd = replace(simple_config().hd, analysis_mhz=(analysis,))
+        cfg = fast(simple_config(chain=simple_config().chain[:-1] + (hd,),
+                                 interference_tones=tones))
+        assert (band_slice(cfg.acquisition, (analysis,)).start == 0) == (analysis < 0.2)
+        whole = run_scenario(cfg, mode="montecarlo", seed=4)
+        bands = run_scenario(cfg, mode="montecarlo", seed=4, bands_only=True)
+        assert [row.mc_db for row in bands.rows] == [row.mc_db for row in whole.rows]
+
+    def test_band_without_grid_bins_is_a_config_error(self):
+        cfg = fast(get_scenario("fig4a"), band_width_mhz=1e-6)
+        for bands_only in (False, True):
+            with pytest.raises(ConfigError, match="no spectrum bins"):
+                run_scenario(cfg, mode="montecarlo", seed=1, bands_only=bands_only)
+        assert run_scenario(cfg, mode="analytic").rows
+
     def test_too_few_rounds_is_a_config_error(self):
         cfg = fast(get_scenario("fig4a"), rounds=3)
         with pytest.raises(ConfigError, match="at 3 rounds"):
@@ -300,11 +332,13 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "name, parameter, values",
-        [("fig4b", "pump_mw", [180.0, 612.5]), ("fig5c", "hd_efficiency", [0.7, 0.95])],
+        [("fig4b", "pump_mw", [180.0, 612.5]), ("fig5c", "hd_efficiency", [0.7, 0.95]),
+         ("fig4a", "hd_efficiency", [0.5, 0.888]), ("fig5b", "pump_mw", [270.0, 450.0])],
     )
     def test_mc_columns_match_single_point_runs(self, name, parameter, values):
-        # The sweep simulates its noise spectra once; every value must still
-        # read what its own run_scenario call reads, bit for bit.
+        # The sweep simulates its noise spectra once, over the analysis band's
+        # bins only; every value must still read what its own whole-grid
+        # run_scenario call reads, bit for bit.
         cfg = fast(get_scenario(name))
         records = sweep(cfg, parameter, values, mode="both", seed=7)
         for record, value in zip(records, values):
@@ -318,6 +352,17 @@ class TestSweep:
             by_theta = {round(math.degrees(row.theta_rad)): row.mc_db for row in rows}
             assert record["squeezed_mc_db"] == by_theta[0]
             assert record["antisqueezed_mc_db"] == by_theta[90]
+
+    def test_calibration_is_checked_only_in_the_band(self):
+        # At 3 rounds and seed 1, 15 grid bins of fast(fig4a) have their
+        # shot-noise estimate at or under the electronic one, none of them in
+        # the 1.55 MHz band: the whole-grid run fails, the sweep does not.
+        cfg = fast(get_scenario("fig4a"), rounds=3)
+        with pytest.raises(ConfigError, match="at 3 rounds"):
+            run_scenario(cfg, mode="both", seed=1)
+        (record,) = sweep(cfg, "pump_mw", [450.0], mode="both", seed=1)
+        assert math.isfinite(record["squeezed_mc_db"])
+        assert math.isfinite(record["antisqueezed_mc_db"])
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="unknown sweep parameter"):

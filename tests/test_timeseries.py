@@ -11,6 +11,7 @@ from sqztune.timeseries import (
     SpectrumEstimate,
     band_power,
     band_power_stderr,
+    band_slice,
     calibrate,
     estimate_spectrum,
     mean_power,
@@ -81,6 +82,17 @@ class TestAcquisitionParams:
             AcquisitionParams(rounds=0)
         with pytest.raises(ValueError):
             AcquisitionParams(rng_seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rounds", 2.5), ("rounds", True), ("samples_per_round", 4096.0), ("rng_seed", 1.5),
+         ("rng_seed", "7"), ("sample_rate_msps", float("nan")), ("sample_rate_msps", True),
+         ("band_center_mhz", float("inf")), ("band_width_mhz", float("nan")),
+         ("band_width_mhz", None)],
+    )
+    def test_non_integer_or_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"acquisition {field} must be"):
+            AcquisitionParams(**{field: value})
 
 
 class TestSynthesizeRound:
@@ -184,6 +196,30 @@ class TestDrawMap:
         # standard errors at 20,000 rounds: 0.01 on the mean, 0.053 on the variance
         assert np.allclose(est.psd, 1.0, atol=0.05)
         assert np.allclose(var, 2.0, atol=0.3)
+
+    @pytest.mark.parametrize(
+        "bins",
+        [slice(None), slice(0, 5001), slice(3197, 3206), slice(3203, 3204), slice(0, 7),
+         slice(0, 1), slice(4990, 5001), slice(5000, 5001), slice(1, 5000)],
+        ids=["default", "whole-grid", "tone-band", "one-bin", "dc-band", "dc-bin",
+             "nyquist-band", "nyquist-bin", "interior"],
+    )
+    def test_bin_range_reads_the_whole_grid_words(self, bins):
+        # BEAT has m = 5001 bins and its 80 MHz tone in bin 3200; ranges start
+        # at every word offset within a 4-word Philox block.
+        toned = NoiseModel(lorentzian, electronic_floor=0.1, interference_tones=TONE)
+        plain = NoiseModel(flat(0.3), electronic_floor=0.1)
+        for models in ([toned, plain], [plain]):
+            whole = simulate_spectra(models, BEAT, stream=4)
+            part = simulate_spectra(models, BEAT, stream=4, bins=bins)
+            for w, p in zip(whole, part):
+                for field in ("freqs_mhz", "psd", "stderr"):
+                    assert np.array_equal(getattr(w, field)[bins], getattr(p, field))
+
+    @pytest.mark.parametrize("bins", [slice(5, 5), slice(0, None, 2), slice(6000, 7000)])
+    def test_bad_bin_range_rejected(self, bins):
+        with pytest.raises(ValueError, match="bins"):
+            simulate_spectrum(self.UNIT, BEAT, bins=bins)
 
 
 class TestEstimateSpectrum:
@@ -292,6 +328,14 @@ class TestBandPower:
         est = SpectrumEstimate(freqs, np.ones(26), np.zeros(26))
         with pytest.raises(ValueError, match="no spectrum bins"):
             band_power(est, 1.55, 0.1)
+
+    def test_band_slice_spans_exactly_the_integrated_bins(self):
+        # BEAT's grid step is 0.025 MHz: 81.55 +- 0.05 holds bins 3260..3264
+        # and 78.45 +- 0.05 bins 3136..3140, edges included.
+        assert band_slice(BEAT, (81.55,)) == slice(3260, 3265)
+        assert band_slice(BEAT, (81.55, 78.45)) == slice(3136, 3265)
+        with pytest.raises(ValueError, match="no spectrum bins"):
+            band_slice(replace(SMALL, band_width_mhz=1e-6), (1.55,))
 
 
 class TestCalibrate:
