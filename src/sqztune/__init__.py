@@ -21,10 +21,12 @@ from .gaussian_core import (
     vacuum_state,
 )
 from .homodyne import (
+    DetectedPair,
     HdConfig,
     NoisePowerResult,
     asymmetric_beat_noise,
     db,
+    detect_pair,
     hd_noise_power,
     r_from_antisqueezing,
     undb,

@@ -84,40 +84,68 @@ class NoisePowerResult:
     vacuum_filled: tuple[ModeLabel, ...]
 
 
-def hd_noise_power(state: GaussianState, cfg: HdConfig) -> NoisePowerResult:
-    """Noise power of the sideband pair at cfg.lo +- cfg.nu, in SNL units.
+@dataclass(frozen=True)
+class DetectedPair:
+    """The sideband pair at lo +- nu of one state, after detection loss.
 
-    Sideband modes missing from the state are treated as vacuum, which is
-    exactly the situation of a frequency-shifted state read out with the
-    unshifted LO.  Detection efficiency acts as a loss channel before the
-    phase-weighted combination variances are formed.
+    Everything the phase-weighted readout needs, so one reduction serves
+    every LO phase: ``plus_variance``, ``minus_variance`` and ``cross_term``
+    as in :class:`NoisePowerResult`, or for a degenerate readout (nu = 0)
+    the ``single`` lossy LO mode, whose rotated quadrature is the value.
     """
-    theta_eff = cfg.theta + cfg.delta_theta
-    ct, st = math.cos(theta_eff), math.sin(theta_eff)
 
-    if cfg.nu_mhz == 0:
-        # Degenerate readout: the noise power is the single rotated quadrature.
-        missing = () if cfg.lo in state.modes else (cfg.lo,)
-        work = add_vacuum_modes(state, missing)
-        single = apply_uniform_loss(partial_trace(work, (cfg.lo,)), cfg.efficiency)
-        c = single.cov
-        value = quadrature_variance(single, cfg.lo, theta_eff)
+    plus_variance: float
+    minus_variance: float
+    cross_term: float
+    vacuum_filled: tuple[ModeLabel, ...]
+    single: GaussianState | None = None
+
+    def noise_power(self, theta_eff: float) -> NoisePowerResult:
+        """Noise power at the effective LO phase (locked phase plus offset)."""
+        ct, st = math.cos(theta_eff), math.sin(theta_eff)
+        if self.single is None:
+            value = float(
+                ct * ct * self.plus_variance + st * st * self.minus_variance
+                + st * ct * self.cross_term
+            )
+        else:
+            value = quadrature_variance(self.single, self.single.modes[0], theta_eff)
         return NoisePowerResult(
             value=value,
             value_db=db(value),
-            plus_variance=float(c[0, 0]),
-            minus_variance=float(c[1, 1]),
+            plus_variance=self.plus_variance,
+            minus_variance=self.minus_variance,
             plus_weight=ct * ct,
             minus_weight=st * st,
-            cross_term=float(2.0 * c[0, 1]),
-            vacuum_filled=missing,
+            cross_term=self.cross_term,
+            vacuum_filled=self.vacuum_filled,
         )
 
-    lower = cfg.lo.shifted_mhz(-cfg.nu_mhz)
-    upper = cfg.lo.shifted_mhz(cfg.nu_mhz)
+
+def detect_pair(
+    state: GaussianState, lo: ModeLabel, nu_mhz: float, efficiency: float = 1.0
+) -> DetectedPair:
+    """Reduce the state to the sideband pair read out at lo +- nu_mhz.
+
+    Sideband modes missing from the state are treated as vacuum, which is
+    exactly the situation of a frequency-shifted state read out with the
+    unshifted LO.  Detection efficiency acts as a loss channel on the pair.
+    """
+    if nu_mhz < 0:
+        raise ValueError("analysis frequency must be non-negative")
+    if nu_mhz == 0:
+        # Degenerate readout: the noise power is the single rotated quadrature.
+        missing = () if lo in state.modes else (lo,)
+        work = add_vacuum_modes(state, missing)
+        single = apply_uniform_loss(partial_trace(work, (lo,)), efficiency)
+        c = single.cov
+        return DetectedPair(float(c[0, 0]), float(c[1, 1]), float(2.0 * c[0, 1]), missing, single)
+
+    lower = lo.shifted_mhz(-nu_mhz)
+    upper = lo.shifted_mhz(nu_mhz)
     missing = tuple(m for m in (lower, upper) if m not in state.modes)
     work = add_vacuum_modes(state, missing)
-    pair = apply_uniform_loss(partial_trace(work, (lower, upper)), cfg.efficiency)
+    pair = apply_uniform_loss(partial_trace(work, (lower, upper)), efficiency)
     c = pair.cov  # order: lower (X, P), upper (X, P)
 
     x_sum = 0.5 * (c[0, 0] + c[2, 2])
@@ -126,22 +154,22 @@ def hd_noise_power(state: GaussianState, cfg: HdConfig) -> NoisePowerResult:
     var_x_minus = x_sum - c[0, 2]
     var_p_plus = p_sum + c[1, 3]
     var_p_minus = p_sum - c[1, 3]
-
-    plus_variance = 0.5 * (var_x_plus + var_p_minus)
-    minus_variance = 0.5 * (var_x_minus + var_p_plus)
-    cross_term = float(c[2, 1] + c[0, 3])
-
-    value = ct * ct * plus_variance + st * st * minus_variance + st * ct * cross_term
-    return NoisePowerResult(
-        value=float(value),
-        value_db=db(float(value)),
-        plus_variance=float(plus_variance),
-        minus_variance=float(minus_variance),
-        plus_weight=ct * ct,
-        minus_weight=st * st,
-        cross_term=cross_term,
-        vacuum_filled=missing,
+    return DetectedPair(
+        float(0.5 * (var_x_plus + var_p_minus)),
+        float(0.5 * (var_x_minus + var_p_plus)),
+        float(c[2, 1] + c[0, 3]),
+        missing,
     )
+
+
+def hd_noise_power(state: GaussianState, cfg: HdConfig) -> NoisePowerResult:
+    """Noise power of the sideband pair at cfg.lo +- cfg.nu, in SNL units.
+
+    The one-phase case of :func:`detect_pair` and
+    :meth:`DetectedPair.noise_power`.
+    """
+    pair = detect_pair(state, cfg.lo, cfg.nu_mhz, cfg.efficiency)
+    return pair.noise_power(cfg.theta + cfg.delta_theta)
 
 
 def variance_from_r(r: float, eta: float, branch: str) -> float:

@@ -22,7 +22,6 @@ from .gaussian_core import (
     ModeLabel,
     SymplecticOp,
     add_vacuum_modes,
-    apply_loss,
     apply_symplectic,
     symplectic_from_unitary,
 )
@@ -249,9 +248,7 @@ def apply_abi(
     missing = [m for m in channel.op.input_modes if m not in state.modes]
     extended = add_vacuum_modes(state, missing)
     out = apply_symplectic(extended, channel.op)
-    for mode in channel.op.output_modes:
-        out = apply_loss(out, mode, channel.efficiency)
-    return out
+    return apply_uniform_loss(out, channel.efficiency, channel.op.output_modes)
 
 
 def apply_aom(
@@ -277,10 +274,27 @@ def apply_aom(
 def apply_uniform_loss(
     state: GaussianState, eta: float, modes: Sequence[ModeLabel] | None = None
 ) -> GaussianState:
-    """Apply the same loss channel to each listed mode (default: all modes)."""
-    for mode in state.modes if modes is None else modes:
-        state = apply_loss(state, mode, eta)
-    return state
+    """Apply the same loss channel to each listed mode (default: all modes).
+
+    One step: the listed modes' rows, then their columns, are scaled by
+    sqrt(eta) and 1 - eta is added to their diagonal.  Every entry sees the
+    same operations in the same order as under one :func:`apply_loss` per
+    mode, so the result is the same bit for bit.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"efficiency must be in [0, 1], got {eta}")
+    modes = state.modes if modes is None else tuple(modes)
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"duplicate modes in {modes}")
+    if not modes:
+        return state
+    idx = np.array([2 * state.index(m) + q for m in modes for q in (0, 1)])
+    cov = state.cov.copy()
+    root = np.sqrt(eta)
+    cov[idx, :] *= root
+    cov[:, idx] *= root
+    cov[idx, idx] += 1.0 - eta
+    return GaussianState(state.modes, cov)
 
 
 EfficiencyChain = Sequence[tuple[str, float]]

@@ -27,6 +27,7 @@ from .homodyne import (
     HdConfig,
     NoisePowerResult,
     db,
+    detect_pair,
     hd_noise_power,
     shifted_single_sideband_noise,
     symmetric_sideband_noise,
@@ -224,12 +225,16 @@ class ScenarioConfig:
             )
         if not self.pump_sweep_mw:
             raise ConfigError("at least one pump power required")
+        for name in ("pump_sweep_mw", "mc_pump_mw"):
+            for value in getattr(self, name) or ():
+                _check_real("scenario", name, value, 0.0)
         if self.mc_pump_mw is not None:
             unknown = set(self.mc_pump_mw) - set(self.pump_sweep_mw)
             if unknown:
                 raise ConfigError(f"Monte-Carlo pump values {sorted(unknown)} not in the sweep")
-        if not math.isfinite(self.electronic_floor) or self.electronic_floor < 0:
-            raise ConfigError("electronic noise floor must be finite and non-negative")
+        # 1e6 SNL units is 60 dB above shot noise, beyond any detector; the
+        # Monte-Carlo sums of squared periodograms overflow near 1e150.
+        _check_real("scenario", "electronic_floor", self.electronic_floor, 0.0, 1e6)
         hd = self.hd
         if not hd.thetas_rad:
             raise ConfigError("at least one LO phase required")
@@ -246,10 +251,10 @@ class ScenarioConfig:
             )
         nyquist = self.acquisition.sample_rate_msps / 2.0
         for freq, power in self.interference_tones:
-            if not (math.isfinite(freq) and math.isfinite(power)) or power < 0:
-                raise ConfigError(
-                    f"interference tone ({freq} MHz, {power}) needs finite values and power >= 0"
-                )
+            _check_real("interference tone", "frequency_mhz", freq)
+            _check_real("interference tone", "power", power, 0.0)
+            if freq <= 0:
+                raise ConfigError(f"interference tone at {freq} MHz must be above 0 MHz")
             if freq >= nyquist:
                 raise ConfigError(
                     f"interference tone at {freq} MHz exceeds the Nyquist frequency {nyquist} MHz"
@@ -437,8 +442,8 @@ def _theta_tag(theta: float) -> str:
     return f"theta{round(math.degrees(theta)):g}"
 
 
-def _quantity_name(cfg: ScenarioConfig, pump: float, theta: float, analysis: float) -> str:
-    if cfg.is_symmetric(analysis):
+def _quantity_name(symmetric: bool, pump: float, theta: float, analysis: float) -> str:
+    if symmetric:
         if math.isclose(math.cos(theta) ** 2, 1.0, abs_tol=1e-12):
             return f"squeezing_db@{pump:g}mW"
         if math.isclose(math.sin(theta) ** 2, 1.0, abs_tol=1e-12):
@@ -456,23 +461,34 @@ def _opo_params(cfg: ScenarioConfig, pump: float) -> OpoParams:
 
 
 def propagate_chain(cfg: ScenarioConfig, pump_mw: float) -> GaussianState:
-    """Source sideband pair propagated through every mid-chain element."""
+    """Source sideband pair propagated through every mid-chain element.
+
+    A tuner or AOM whose shift pairs a mode with a partner that is already
+    paired (its mode pairs overlap) is a ConfigError naming the element.
+    """
     state = opo_sideband_state(_opo_params(cfg, pump_mw), cfg.source_detuning_mhz)
-    for element in cfg.chain[1:-1]:
+    for position, element in enumerate(cfg.chain[1:-1], start=1):
         if isinstance(element, LossSpec):
             state = apply_uniform_loss(state, element.efficiency)
-        elif isinstance(element, AbiSpec):
-            state = apply_abi(
-                state,
-                AbiParams(
-                    shift_mhz=element.shift_mhz,
-                    zeta=element.zeta,
-                    visibility=element.visibility,
-                    phi_rad=element.phi_rad,
-                ),
-            )
-        elif isinstance(element, AomSpec):
-            state = apply_aom(state, element.t, element.r, element.shift_mhz)
+            continue
+        try:
+            if isinstance(element, AbiSpec):
+                state = apply_abi(
+                    state,
+                    AbiParams(
+                        shift_mhz=element.shift_mhz,
+                        zeta=element.zeta,
+                        visibility=element.visibility,
+                        phi_rad=element.phi_rad,
+                    ),
+                )
+            else:
+                state = apply_aom(state, element.t, element.r, element.shift_mhz)
+        except ValueError as exc:
+            kind = _CLASS_TO_KIND[type(element)]
+            raise ConfigError(
+                f"chain element {position} ({kind}, shift {element.shift_mhz:g} MHz): {exc}"
+            ) from None
     return state
 
 
@@ -552,6 +568,7 @@ def run_scenario(
     *,
     noise: dict[str, SpectrumEstimate] | None = None,
     bands_only: bool = False,
+    state: GaussianState | None = None,
 ) -> ScenarioResult:
     """Execute a scenario: analytic values, optional Monte-Carlo spectra,
     and pass/fail against the reference table.
@@ -564,16 +581,28 @@ def run_scenario(
     the analysis bands (:func:`band_slice`), so calibration checks only
     those bins and ``spectra`` stays empty; the rows are the same bit for
     bit.  By default every spectrum covers the whole grid and is returned.
+
+    The analytic values read each pump's chain, propagated once
+    (:func:`propagate_chain`), reduced once per analysis band
+    (:func:`detect_pair`) and weighted per LO phase; they equal
+    :func:`analytic_noise` point for point.  ``state`` passes in the
+    propagated state of a single-pump config, which :func:`sweep`
+    propagates once when its values change only the readout.
     """
     mode = cfg.mode if mode is None else mode
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if state is not None and len(cfg.pump_sweep_mw) != 1:
+        raise ValueError("a propagated state can be passed only with a single pump")
     acq = _acquisition(cfg, seed)
     want_analytic = mode in ("analytic", "both")
     want_mc = mode in ("montecarlo", "both")
 
     mc_pumps = cfg.pump_sweep_mw if cfg.mc_pump_mw is None else cfg.mc_pump_mw
-    thetas = cfg.hd.thetas_rad
+    hd = cfg.hd
+    thetas, bands = hd.thetas_rad, hd.analysis_mhz
+    symmetric = [cfg.is_symmetric(analysis) for analysis in bands]
+    lo = ModeLabel.from_mhz(hd.lo_offset_mhz) if want_analytic else None
     spectra: dict[str, SpectrumEstimate] = {}
     if want_mc:
         band_bins = _analysis_bins(cfg, acq)  # checked on both paths
@@ -609,16 +638,21 @@ def run_scenario(
                     spectra[f"{key}_raw"] = signal_est
                     spectra[f"{key}_corrected"] = corrected[i]
 
+        pairs = [None] * len(bands)
+        if want_analytic:
+            pump_state = propagate_chain(cfg, pump) if state is None else state
+            pairs = [detect_pair(pump_state, lo, analysis, hd.efficiency) for analysis in bands]
+
         for theta, corrected_est in zip(thetas, corrected):
-            for analysis in cfg.hd.analysis_mhz:
+            for analysis, pair, sym in zip(bands, pairs, symmetric):
                 analytic_linear = analytic_db = None
-                if want_analytic:
-                    result = analytic_noise(cfg, pump, theta, analysis)
+                if pair is not None:
+                    result = pair.noise_power(theta + hd.delta_theta_rad)
                     analytic_linear, analytic_db = result.value, result.value_db
                 mc_db = None
                 if corrected_est is not None:
                     mc_db = db(band_power(corrected_est, analysis, acq.band_width_mhz))
-                quantity = _quantity_name(cfg, pump, theta, analysis)
+                quantity = _quantity_name(sym, pump, theta, analysis)
                 ref = _REFERENCE_INDEX.get((cfg.name, quantity))
                 passed = None
                 if ref is not None:
@@ -704,6 +738,11 @@ def sweep(
 
     base = _with_hd(cfg, thetas_rad=(0.0, math.pi / 2))
     base = replace(base, pump_sweep_mw=(cfg.pump_sweep_mw[0],), mc_pump_mw=None)
+    # The other axes change only the readout, so every value reads one
+    # propagated state.
+    state = None
+    if parameter != "pump_mw" and mode in ("analytic", "both"):
+        state = propagate_chain(base, base.pump_sweep_mw[0])
     records = []
     for value in values:
         if parameter == "pump_mw":
@@ -712,7 +751,9 @@ def sweep(
             variant = _with_hd(base, delta_theta_rad=float(value))
         else:
             variant = _with_hd(base, efficiency=float(value))
-        result = run_scenario(variant, mode=mode, seed=seed, noise=noise, bands_only=True)
+        result = run_scenario(
+            variant, mode=mode, seed=seed, noise=noise, bands_only=True, state=state
+        )
         first_band = variant.hd.analysis_mhz[0]
         by_theta = {
             round(math.degrees(r.theta_rad)): r

@@ -99,7 +99,11 @@ class AcquisitionParams:
 
     @property
     def grid_mhz(self) -> NDArray[np.float64]:
-        return np.fft.rfftfreq(self.samples_per_round, d=1.0 / self.sample_rate_msps)
+        return self.grid_range_mhz(0, self.samples_per_round // 2 + 1)
+
+    def grid_range_mhz(self, k0: int, k1: int) -> NDArray[np.float64]:
+        """Frequencies of grid bins k0 .. k1 - 1, by ``rfftfreq``'s own arithmetic."""
+        return np.arange(k0, k1) * (1.0 / (self.samples_per_round * (1.0 / self.sample_rate_msps)))
 
 
 PsdFunction = Callable[[NDArray[np.float64]], NDArray[np.float64]]
@@ -379,7 +383,7 @@ def simulate_spectra(
     if step != 1 or k1 <= k0:
         raise ValueError(f"bins must be a non-empty, unit-step range of the {m} grid bins")
     nb = k1 - k0
-    freqs = acq.grid_mhz[k0:k1]
+    freqs = acq.grid_range_mhz(k0, k1)
     targets = [model.target_psd(freqs) for model in models]
     # Positions of the real DC and Nyquist bins in the range, and the buffer
     # slots of their phase words (see _word_runs).
@@ -463,11 +467,15 @@ def mean_power(spec: SpectrumEstimate) -> float:
     return float((spec.psd[0] + 2.0 * spec.psd[1:-1].sum() + spec.psd[-1]) / n)
 
 
-def _band_mask(freqs_mhz: NDArray[np.float64], center_mhz: float, width_mhz: float):
-    lo = center_mhz - width_mhz / 2.0
-    hi = center_mhz + width_mhz / 2.0
+def _band_edges(center_mhz: float, width_mhz: float) -> tuple[float, float]:
+    """Lowest and highest bin frequency a band integrates, with rounding slack."""
     pad = 1e-9 * max(1.0, abs(center_mhz))
-    mask = (freqs_mhz >= lo - pad) & (freqs_mhz <= hi + pad)
+    return center_mhz - width_mhz / 2.0 - pad, center_mhz + width_mhz / 2.0 + pad
+
+
+def _band_mask(freqs_mhz: NDArray[np.float64], center_mhz: float, width_mhz: float):
+    lo, hi = _band_edges(center_mhz, width_mhz)
+    mask = (freqs_mhz >= lo) & (freqs_mhz <= hi)
     if not np.any(mask):
         raise ValueError(f"no spectrum bins inside {center_mhz}+-{width_mhz/2} MHz")
     return mask
@@ -475,12 +483,24 @@ def _band_mask(freqs_mhz: NDArray[np.float64], center_mhz: float, width_mhz: flo
 
 def band_slice(acq: AcquisitionParams, centers_mhz: Sequence[float]) -> slice:
     """The smallest range of grid bins that holds every bin :func:`band_power`
-    integrates over the bands ``centers_mhz`` +- acq.band_width_mhz / 2."""
-    grid = acq.grid_mhz
-    inside = np.flatnonzero(
-        np.logical_or.reduce([_band_mask(grid, c, acq.band_width_mhz) for c in centers_mhz])
-    )
-    return slice(int(inside[0]), int(inside[-1]) + 1)
+    integrates over the bands ``centers_mhz`` +- acq.band_width_mhz / 2.
+
+    Each band's mask is taken over a window of its bins with one bin of
+    margin on each side, not over the whole grid.
+    """
+    m = acq.samples_per_round // 2 + 1
+    first, last = m, -1
+    for center in centers_mhz:
+        lo, hi = (edge / acq.bin_spacing_mhz for edge in _band_edges(center, acq.band_width_mhz))
+        k0 = k1 = 0  # a non-finite band gets an empty window
+        if math.isfinite(lo) and math.isfinite(hi):
+            k0 = min(max(math.floor(lo) - 1, 0), m)
+            k1 = min(max(math.ceil(hi) + 2, k0), m)
+        inside = k0 + np.flatnonzero(
+            _band_mask(acq.grid_range_mhz(k0, k1), center, acq.band_width_mhz)
+        )
+        first, last = min(first, int(inside[0])), max(last, int(inside[-1]))
+    return slice(first, last + 1)
 
 
 def band_power(spec: SpectrumEstimate, center_mhz: float, width_mhz: float) -> float:

@@ -128,6 +128,48 @@ class TestRun:
         assert f"acquisition {field} must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "elements, modes",
+        [
+            ([{"kind": "aom", "t": 0.8, "r": 0.6, "shift_mhz": 3.1}], ["analytic"]),
+            ([{"kind": "abi", "shift_mhz": 3.1}], ["analytic", "both"]),
+            ([{"kind": "aom", "t": 0.8, "r": 0.6, "shift_mhz": 10.0}] * 2, ["analytic"]),
+        ],
+        ids=["aom-3.1", "abi-3.1", "two-aoms-10"],
+    )
+    def test_overlapping_mode_pairs_exit_2(self, tmp_path, capsys, elements, modes):
+        # 3.1 MHz is twice fig4a's 1.55 MHz source detuning.
+        data = scenario_to_dict(get_scenario("fig4a"))
+        data["chain"][-1:-1] = elements
+        data["acquisition"]["samples_per_round"] = 1024
+        config = tmp_path / "overlap.json"
+        config.write_text(json.dumps(data))
+        for mode in modes:
+            assert main(["run", str(config), "--mode", mode]) == 2
+            err = capsys.readouterr().err
+            assert f"chain element {len(elements) + 1} ({elements[-1]['kind']}" in err
+            assert "overlap" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"pump_sweep_mw": ["450"]}, {"pump_sweep_mw": [True]},
+         {"pump_sweep_mw": [1.0, 450.0], "mc_pump_mw": [True]},
+         {"interference_tones": [[-3.0, 1.0]]}, {"electronic_floor": 1e308}],
+        ids=["pump-str", "pump-bool", "mc-pump-bool", "tone-negative", "floor-huge"],
+    )
+    def test_invalid_top_level_field_exits_2(self, tmp_path, capsys, changes):
+        data = scenario_to_dict(get_scenario("fig4a"))
+        data.update(changes)
+        data["acquisition"].update(samples_per_round=1024, rounds=16)
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(data))
+        assert main(["run", str(config), "--mode", "both"]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert "Traceback" not in captured.err
+        assert "nan" not in captured.out
+
     def test_too_few_rounds_exits_2_without_traceback(self, tmp_path, capsys):
         data = scenario_to_dict(get_scenario("fig4a"))
         data["acquisition"]["rounds"] = 3

@@ -1,4 +1,5 @@
-"""Fuzz the CLI with mutated acquisition blocks of the exported builtins."""
+"""Fuzz the CLI with mutated acquisition blocks, chains and top-level fields
+of the exported builtins."""
 
 import contextlib
 import io
@@ -43,6 +44,19 @@ change = st.sampled_from(sorted(FIELDS)).flatmap(lambda k: FIELDS[k].map(lambda 
 NAN = re.compile(r"\bnan\b", re.IGNORECASE)
 
 
+def run_cli(data, argv):
+    """Run ``sqztune`` on the config; assert exit 0/1/2, no traceback, no NaN."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "fuzz.json"
+        config.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(config), *argv[1:]])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert not NAN.search(out.getvalue())
+
+
 @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @hypothesis.given(
     name=st.sampled_from(sorted(BUILTIN_SCENARIOS)),
@@ -52,15 +66,73 @@ NAN = re.compile(r"\bnan\b", re.IGNORECASE)
 def test_mutated_acquisition_exits_cleanly(name, command, changes):
     data = scenario_to_dict(get_scenario(name))
     data["acquisition"].update(BASE_ACQUISITION, **changes)
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "fuzz.json"
-        config.write_text(json.dumps(data))
-        argv = [command, str(config), "--mode", "both"]
-        if command == "sweep":
-            argv += ["--param", "pump_mw", "--values", "270,450"]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    assert not NAN.search(out.getvalue())
+    argv = [command, "--mode", "both"]
+    if command == "sweep":
+        argv += ["--param", "pump_mw", "--values", "270,450"]
+    run_cli(data, argv)
+
+
+def mostly(valid, *wrong):
+    """Mostly ``valid``: three of four branches; the fourth draws a listed wrong value."""
+    return st.one_of(valid, valid, valid, st.sampled_from(wrong))
+
+
+# Shifts: multiples of the builtins' 1.55 MHz source detuning (which make mode
+# pairs overlap), the tuner's 80 MHz and a few others.
+shift = mostly(st.sampled_from([-3.1, -1.55, 1.55, 3.1, 4.65, 80.0, -80.0, 10.0, 0.01]),
+               True, None, "1", float("nan"))
+unit = mostly(st.floats(0, 1), -0.1, 1.5, True, float("nan"))
+element = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("loss"), "label": st.just("fuzz"), "efficiency": unit}),
+    st.tuples(st.sampled_from([(0.8, 0.6), (0.6, 0.8), (1.0, 0.0), (0.8, 0.8)]), shift).map(
+        lambda tr_s: {"kind": "aom", "t": tr_s[0][0], "r": tr_s[0][1], "shift_mhz": tr_s[1]}),
+    st.fixed_dictionaries({"kind": st.just("abi"), "shift_mhz": shift, "zeta": unit,
+                           "visibility": unit, "phi_rad": mostly(st.floats(-4, 4), float("inf"))}),
+)
+# (insert or replace, position among the mid-chain elements, element)
+chain_change = st.tuples(st.booleans(), st.integers(0, 3), element)
+pump = mostly(st.sampled_from([90.0, 270.0, 450.0, 1.0, 0.0]) | st.floats(0, 1000),
+              "450", True, -10.0, 2000.0, float("nan"))
+TOP_LEVEL = {
+    "pump_sweep_mw": st.lists(pump, min_size=1, max_size=3),
+    "mc_pump_mw": st.one_of(st.none(), st.lists(pump, min_size=1, max_size=2)),
+    "electronic_floor": mostly(st.floats(0, 1e3) | st.sampled_from([1e6, 1e7, 1e150, 1e308]),
+                               -0.1, True, float("inf")),
+    "interference_tones": st.lists(
+        st.tuples(mostly(st.sampled_from([-3.0, 0.0, 1.0, 80.0, 200.0]), True, float("nan")),
+                  mostly(st.floats(0, 50), -1.0)).map(list),
+        min_size=1, max_size=2),
+}
+top_change = st.sampled_from(sorted(TOP_LEVEL)).flatmap(lambda k: TOP_LEVEL[k].map(lambda v: (k, v)))
+
+
+def apply_chain_change(chain, change):
+    insert, position, new = change
+    mid = len(chain) - 2
+    if insert or not mid:
+        chain.insert(1 + position % (mid + 1), new)
+    else:
+        chain[1 + position % mid] = new
+
+
+@hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    name=st.sampled_from(sorted(BUILTIN_SCENARIOS)),
+    command=st.sampled_from(["run", "pump_mw", "hd_efficiency", "delta_theta_rad"]),
+    mode=st.sampled_from(["analytic", "both"]),
+    chain_changes=st.lists(chain_change, max_size=2),
+    top_changes=st.lists(top_change, max_size=2, unique_by=lambda kv: kv[0]).map(dict),
+)
+def test_mutated_chain_and_top_level_fields_exit_cleanly(
+    name, command, mode, chain_changes, top_changes
+):
+    hypothesis.assume(chain_changes or top_changes)
+    data = scenario_to_dict(get_scenario(name))
+    data["acquisition"].update(BASE_ACQUISITION)
+    for change in chain_changes:
+        apply_chain_change(data["chain"], change)
+    data.update(top_changes)
+    argv = ["run", "--mode", mode]
+    if command != "run":
+        argv = ["sweep", "--mode", mode, "--param", command, "--values", "0.5,0.9"]
+    run_cli(data, argv)

@@ -16,6 +16,7 @@ from sqztune.homodyne import (
     HdConfig,
     asymmetric_beat_noise,
     db,
+    detect_pair,
     hd_noise_power,
     r_from_antisqueezing,
     shifted_single_sideband_noise,
@@ -187,6 +188,44 @@ class TestHdNoisePower:
             HdConfig(lo=CARRIER, theta=0.0, nu_mhz=1.55, delta_theta=OFFSET_6DEG, efficiency=0.708),
         )
         assert offset.value > perfect.value
+
+
+class TestDetectedPair:
+    """One reduction per band read at every LO phase is hd_noise_power per phase."""
+
+    THETAS = (0.0, np.pi / 2, 0.7, -1.3, 2.0 * np.pi / 3)
+
+    def assert_same_readout(self, state, lo, nu, eta, delta):
+        pair = detect_pair(state, lo, nu, eta)
+        got = [pair.noise_power(theta + delta) for theta in self.THETAS]
+        expected = [
+            hd_noise_power(
+                state, HdConfig(lo=lo, theta=theta, nu_mhz=nu, delta_theta=delta, efficiency=eta)
+            )
+            for theta in self.THETAS
+        ]
+        assert got == expected  # every field, exactly
+
+    @pytest.mark.parametrize("nu", [1.0, 0.0, 2.0, 5.0], ids=["pair", "degenerate", "edge", "far"])
+    def test_phase_list_equals_per_phase_readout(self, nu):
+        # MODE_POOL holds -2..2 MHz: lo +- 2 and lo +- 5 leave members to
+        # vacuum fill, and nu = 0 reads the LO mode alone (or vacuum).
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            state = random_chain_state(rng)
+            lo = ModeLabel.from_mhz(float(rng.choice([-1.0, 0.0, 1.0])))
+            self.assert_same_readout(state, lo, nu, rng.uniform(0, 1), rng.uniform(-0.3, 0.3))
+
+    def test_missing_sideband_modes_fill_as_vacuum(self):
+        state = apply_symplectic(vacuum_state([UPPER]), squeezer(1.0, UPPER))
+        assert detect_pair(state, CARRIER, 1.55).vacuum_filled == (LOWER,)
+        assert detect_pair(state, LOWER, 0.0).vacuum_filled == (LOWER,)
+        self.assert_same_readout(state, CARRIER, 1.55, 0.8, 0.1)
+        self.assert_same_readout(state, LOWER, 0.0, 0.8, 0.1)
+
+    def test_negative_frequency_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            detect_pair(vacuum_state([CARRIER]), CARRIER, -1.0)
 
 
 class TestEffectiveSqueezing:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import random_chain_state
 from sqztune.gaussian_core import (
     ModeLabel,
+    apply_loss,
     apply_symplectic,
     is_physical,
     phase_rotation,
@@ -250,6 +252,35 @@ class TestAbi:
             AbiParams(zeta=1.3)
         with pytest.raises(ValueError):
             AbiParams(t=0.9, r=0.6)
+
+
+class TestUniformLoss:
+    def sequential(self, state, eta, modes):
+        for mode in modes:
+            state = apply_loss(state, mode, eta)
+        return state
+
+    def test_one_step_equals_sequential_single_mode_losses(self):
+        rng = np.random.default_rng(53)
+        for _ in range(60):
+            state = random_chain_state(rng)
+            eta = float(rng.choice([0.0, 1.0, rng.uniform(0, 1)]))
+            subset = [m for m in state.modes if rng.uniform() < 0.5]
+            order = [state.modes[i] for i in rng.permutation(state.n_modes)]
+            for modes, expected_modes in ((None, state.modes), (subset, subset), (order, order)):
+                got = apply_uniform_loss(state, eta, modes)
+                expected = self.sequential(state, eta, expected_modes)
+                assert got.modes == expected.modes
+                assert np.array_equal(got.cov, expected.cov)
+
+    def test_bad_arguments_rejected(self):
+        state = vacuum_state([CARRIER, SHIFTED])
+        with pytest.raises(ValueError, match="efficiency"):
+            apply_uniform_loss(state, 1.5)
+        with pytest.raises(ValueError, match="duplicate"):
+            apply_uniform_loss(state, 0.5, (CARRIER, CARRIER))
+        with pytest.raises(ValueError, match="not present"):
+            apply_uniform_loss(state, 0.5, (ModeLabel.from_mhz(1.0),))
 
 
 class TestChainEfficiency:

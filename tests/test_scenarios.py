@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sqztune import scenarios
 from sqztune.scenarios import (
     BUILTIN_SCENARIOS,
     REFERENCE_TABLE,
@@ -15,11 +16,13 @@ from sqztune.scenarios import (
     LossSpec,
     ScenarioConfig,
     SourceSpec,
+    analytic_noise,
     emit_reference,
     get_scenario,
     list_scenarios,
     load_config,
     parse_reference,
+    propagate_chain,
     run_scenario,
     save_config,
     scenario_from_dict,
@@ -205,6 +208,96 @@ class TestValidation:
         with pytest.raises(ConfigError, match="opo|loss|abi|aom|hd"):
             make()
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("pump_sweep_mw", ("450",), "pump_sweep_mw"),
+            ("pump_sweep_mw", (True,), "pump_sweep_mw"),
+            ("pump_sweep_mw", (float("inf"),), "pump_sweep_mw"),
+            ("pump_sweep_mw", (-90.0,), "pump_sweep_mw"),
+            ("mc_pump_mw", (True,), "mc_pump_mw"),
+            ("interference_tones", ((-3.0, 1.0),), "above 0"),
+            ("interference_tones", ((0.0, 1.0),), "above 0"),
+            ("interference_tones", ((True, 1.0),), "frequency"),
+            ("electronic_floor", 1e308, "electronic_floor"),
+            ("electronic_floor", True, "electronic_floor"),
+        ],
+        ids=["pump-str", "pump-bool", "pump-inf", "pump-negative", "mc-pump-bool",
+             "tone-negative", "tone-zero", "tone-bool", "floor-huge", "floor-bool"],
+    )
+    def test_bad_top_level_values_rejected(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            simple_config(**{field: value})
+
+    def test_floor_bound_admits_1e6(self):
+        assert simple_config(electronic_floor=1e6).electronic_floor == 1e6
+
+
+@pytest.fixture
+def propagations(monkeypatch):
+    """The pump of every propagate_chain call made through the module."""
+    calls = []
+
+    def counting(cfg, pump_mw):
+        calls.append(pump_mw)
+        return propagate_chain(cfg, pump_mw)
+
+    monkeypatch.setattr(scenarios, "propagate_chain", counting)
+    return calls
+
+
+class TestAnalyticReadout:
+    """run_scenario reads one propagated state per pump and one reduction per
+    band; its analytic values are analytic_noise's, point for point."""
+
+    def assert_rows_equal_per_point(self, cfg, propagations):
+        rows = run_scenario(cfg, mode="analytic").rows
+        assert propagations == list(cfg.pump_sweep_mw)
+        hd = cfg.hd
+        assert len(rows) == len(propagations) * len(hd.thetas_rad) * len(hd.analysis_mhz)
+        for row in rows:
+            point = analytic_noise(cfg, row.pump_mw, row.theta_rad, row.analysis_mhz)
+            assert (row.analytic_linear, row.analytic_db) == (point.value, point.value_db)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtin_rows_equal_per_point_readout(self, name, propagations):
+        self.assert_rows_equal_per_point(get_scenario(name), propagations)
+
+    def test_bare_aom_chain_rows_equal_per_point_readout(self, propagations):
+        cfg = get_scenario("fig4a")
+        chain = cfg.chain[:2] + (AomSpec(0.8, 0.6, 10.0),) + cfg.chain[2:]
+        self.assert_rows_equal_per_point(
+            replace(cfg, chain=chain, pump_sweep_mw=(90.0, 450.0)), propagations
+        )
+
+    def test_phased_tuner_rows_equal_per_point_readout(self, propagations):
+        cfg = get_scenario("fig5a")
+        chain = cfg.chain[:2] + (replace(cfg.chain[2], phi_rad=0.6),) + cfg.chain[3:]
+        self.assert_rows_equal_per_point(
+            replace(cfg, chain=chain, pump_sweep_mw=(270.0, 450.0)), propagations
+        )
+
+    def test_passed_state_needs_a_single_pump(self):
+        cfg = get_scenario("fig4b")
+        with pytest.raises(ValueError, match="single pump"):
+            run_scenario(cfg, mode="analytic", state=propagate_chain(cfg, 270.0))
+
+    @pytest.mark.parametrize(
+        "elements",
+        [(AomSpec(0.8, 0.6, 3.1),), (AbiSpec(shift_mhz=3.1),),
+         (AomSpec(0.8, 0.6, 10.0), AomSpec(0.8, 0.6, 10.0))],
+        ids=["aom-3.1", "abi-3.1", "two-aoms-10"],
+    )
+    def test_overlapping_mode_pairs_are_a_config_error(self, elements):
+        # 3.1 MHz is twice the source detuning: the shift pairs -1.55 with
+        # +1.55 and +1.55 with 4.65.  A second 10 MHz AOM pairs the first
+        # one's outputs again.
+        cfg = simple_config(chain=(SourceSpec(),) + elements + (HdSpec(0.0, (0.0,), (1.55,)),))
+        position, kind = len(elements), type(elements[-1]).__name__[:3].lower()
+        pattern = rf"chain element {position} \({kind}, shift .* MHz\): .*overlap"
+        with pytest.raises(ConfigError, match=pattern):
+            run_scenario(cfg, mode="analytic")
+
 
 class TestRunScenario:
     def test_idempotent_bundles(self):
@@ -352,6 +445,25 @@ class TestSweep:
             by_theta = {round(math.degrees(row.theta_rad)): row.mc_db for row in rows}
             assert record["squeezed_mc_db"] == by_theta[0]
             assert record["antisqueezed_mc_db"] == by_theta[90]
+
+    @pytest.mark.parametrize("name", ["fig4b", "fig5c"])
+    @pytest.mark.parametrize(
+        "parameter, values",
+        [("delta_theta_rad", [-0.2, 0.0, 0.1047]), ("hd_efficiency", [0.5, 0.888, 1.0])],
+    )
+    def test_readout_sweep_propagates_once(self, name, parameter, values, propagations):
+        cfg = get_scenario(name)
+        records = sweep(cfg, parameter, values, mode="analytic")
+        assert propagations == [cfg.pump_sweep_mw[0]]
+        for record, value in zip(records, values):
+            field = "efficiency" if parameter == "hd_efficiency" else parameter
+            hd = replace(cfg.hd, thetas_rad=(0.0, math.pi / 2), **{field: value})
+            variant = replace(cfg, chain=cfg.chain[:-1] + (hd,),
+                              pump_sweep_mw=(cfg.pump_sweep_mw[0],), mc_pump_mw=None)
+            rows = run_scenario(variant, mode="analytic").rows
+            by_theta = {round(math.degrees(row.theta_rad)): row.analytic_db for row in rows}
+            assert record["squeezed_db"] == by_theta[0]
+            assert record["antisqueezed_db"] == by_theta[90]
 
     def test_calibration_is_checked_only_in_the_band(self):
         # At 3 rounds and seed 1, 15 grid bins of fast(fig4a) have their

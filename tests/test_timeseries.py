@@ -7,6 +7,7 @@ from sqztune.homodyne import symmetric_sideband_noise, undb
 from sqztune.optics_components import OpoParams
 from sqztune.timeseries import (
     AcquisitionParams,
+    _band_mask,
     NoiseModel,
     SpectrumEstimate,
     band_power,
@@ -66,6 +67,16 @@ class TestAcquisitionParams:
         assert acq.rounds == 500
         assert acq.band_width_mhz == 0.1
         assert acq.bin_spacing_mhz == pytest.approx(1e-3)
+
+    @pytest.mark.parametrize("n", [1024, 4096, 50_000, 123_456])
+    @pytest.mark.parametrize("rate", [33.3, 50.0, 100.0 / 3.0, 250.0])
+    def test_grid_range_is_the_rfftfreq_slice(self, n, rate):
+        acq = AcquisitionParams(sample_rate_msps=rate, samples_per_round=n, band_center_mhz=1.0)
+        grid = np.fft.rfftfreq(n, d=1.0 / rate)
+        assert np.array_equal(acq.grid_mhz, grid)
+        m = n // 2 + 1
+        for k0, k1 in ((0, m), (0, 1), (7, 130), (m - 3, m)):
+            assert np.array_equal(acq.grid_range_mhz(k0, k1), grid[k0:k1])
 
     def test_nyquist_violation_rejected(self):
         with pytest.raises(ValueError, match="Nyquist"):
@@ -336,6 +347,40 @@ class TestBandPower:
         assert band_slice(BEAT, (81.55, 78.45)) == slice(3136, 3265)
         with pytest.raises(ValueError, match="no spectrum bins"):
             band_slice(replace(SMALL, band_width_mhz=1e-6), (1.55,))
+
+    @pytest.mark.parametrize("rate, n", [(33.3, 4096), (100.0 / 3.0, 1024), (77.7, 12_346)])
+    def test_band_slice_equals_the_whole_grid_mask(self, rate, n):
+        # Odd rates, and bands whose padded edge lies a few rounding steps
+        # either side of a bin: band_slice masks only a window around each
+        # band and must still find the whole-grid mask's range.
+        grid = np.fft.rfftfreq(n, d=1.0 / rate)
+
+        def whole_grid(group, width):
+            masks = [_band_mask(grid, c, width) for c in group]
+            inside = np.flatnonzero(np.logical_or.reduce(masks))
+            return slice(int(inside[0]), int(inside[-1]) + 1)
+
+        for width in (rate / n, 2.5 * rate / n, 0.1):
+            acq = AcquisitionParams(rate, n, 1, 1.0, width, 0)
+            centers = []
+            for f in grid[1 : n // 2 - 10 : n // 100]:
+                # Centers whose padded lower or upper edge is exactly f (for
+                # centers above 1 MHz), stepped by 1 ulp from -4 to +4.
+                for c in ((f + width / 2) / (1 - 1e-9), (f - width / 2) / (1 + 1e-9)):
+                    for _ in range(4):
+                        c = np.nextafter(c, 0.0)
+                    for _ in range(9):
+                        centers.append(float(c))
+                        c = np.nextafter(c, np.inf)
+            centers = [c for c in centers if 0 < c - width / 2 and c + width / 2 < rate / 2]
+            for group in [[c] for c in centers] + [centers[:3], centers[-4:]]:
+                try:
+                    expected = whole_grid(group, width)
+                except ValueError:
+                    with pytest.raises(ValueError, match="no spectrum bins"):
+                        band_slice(acq, group)
+                    continue
+                assert band_slice(acq, group) == expected
 
 
 class TestCalibrate:
