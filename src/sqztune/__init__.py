@@ -79,6 +79,7 @@ from .timeseries import (
     spectrum_from_csv,
     spectrum_to_csv,
     synthesize_round,
+    write_spectra_csv,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .scenarios import (
     sweep,
     sweep_csv,
 )
-from .timeseries import write_spectrum_csv
+from .timeseries import write_spectra_csv
 
 EXIT_OK = 0
 EXIT_REFERENCE_FAILURE = 1
@@ -101,9 +101,9 @@ def _write_outputs(result: ScenarioResult, out_dir: Path, fmt: str) -> None:
     else:
         path = out_dir / f"{result.name}_summary.csv"
         path.write_text(summary_csv(result))
-    for key, spectrum in result.spectra.items():
-        with (out_dir / f"{result.name}_{key}.csv").open("w") as fh:
-            write_spectrum_csv(spectrum, fh)
+    write_spectra_csv(
+        [(spectrum, out_dir / f"{result.name}_{key}.csv") for key, spectrum in result.spectra.items()]
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -78,6 +78,22 @@ def _check_real(owner: str, name: str, value, lo: float = -math.inf, hi: float =
         raise ConfigError(f"{owner} {name} must be a finite number{bounds}, got {value!r}")
 
 
+def _check_distinct(name: str, values, label) -> None:
+    """Reject two entries of a config list that print the same output label."""
+    if len(values) < 2:
+        return
+    tags = list(map(label, values))
+    if len(set(tags)) == len(tags):
+        return
+    seen = {}
+    for value, tag in zip(values, tags):
+        if tag in seen:
+            raise ConfigError(
+                f"{name} values {seen[tag]!r} and {value!r} share the output label {tag!r}"
+            )
+        seen[tag] = value
+
+
 def _check_shift(owner: str, shift_mhz) -> None:
     """Reject a frequency shift that is zero or off the mode-label grid."""
     _check_real(owner, "shift_mhz", shift_mhz)
@@ -275,6 +291,11 @@ class ScenarioConfig:
             )
         if next(iter(deltas)) <= 0:
             raise ConfigError("analysis frequency coincides with the source carrier")
+        # Output file names and row quantities carry these labels, so two
+        # values with one label would overwrite each other's spectra and rows.
+        _check_distinct("pump_sweep_mw", self.pump_sweep_mw, "{:g}".format)
+        _check_distinct("hd analysis_mhz", hd.analysis_mhz, "{:g}".format)
+        _check_distinct("hd thetas_rad", hd.thetas_rad, _theta_tag)
 
     @property
     def source(self) -> SourceSpec:
@@ -418,11 +439,9 @@ class ResultRow:
     passed: bool | None
 
     @property
-    def model_db(self) -> float:
-        value = self.analytic_db if self.analytic_db is not None else self.mc_db
-        if value is None:
-            raise ValueError("row has neither analytic nor Monte-Carlo value")
-        return value
+    def model_db(self) -> float | None:
+        """The analytic value, else the Monte-Carlo one; None when the row has neither."""
+        return self.analytic_db if self.analytic_db is not None else self.mc_db
 
 
 @dataclass(frozen=True)
@@ -678,7 +697,11 @@ def run_scenario(
 
 
 def summary_csv(result: ScenarioResult) -> str:
-    """Per-run summary table: scenario,quantity,model_db,reference_db,tolerance_db,pass."""
+    """Per-run summary table: scenario,quantity,model_db,reference_db,tolerance_db,pass.
+
+    A row with neither an analytic nor a Monte-Carlo value (a pump outside
+    ``mc_pump_mw`` in Monte-Carlo mode) has an empty ``model_db`` cell.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["scenario", "quantity", "model_db", "reference_db", "tolerance_db", "pass"])
@@ -687,7 +710,7 @@ def summary_csv(result: ScenarioResult) -> str:
             [
                 row.scenario,
                 row.quantity,
-                repr(row.model_db),
+                "" if row.model_db is None else repr(row.model_db),
                 "" if row.reference_db is None else repr(row.reference_db),
                 "" if row.tolerance_db is None else repr(row.tolerance_db),
                 "" if row.passed is None else str(row.passed).lower(),
@@ -736,8 +759,13 @@ def sweep(
         acq = _acquisition(cfg, seed)
         noise = _noise_spectra(cfg, acq, _analysis_bins(cfg, acq))
 
-    base = _with_hd(cfg, thetas_rad=(0.0, math.pi / 2))
-    base = replace(base, pump_sweep_mw=(cfg.pump_sweep_mw[0],), mc_pump_mw=None)
+    # One replace: every ScenarioConfig built runs the whole validation again.
+    base = replace(
+        cfg,
+        chain=cfg.chain[:-1] + (replace(cfg.hd, thetas_rad=(0.0, math.pi / 2)),),
+        pump_sweep_mw=(cfg.pump_sweep_mw[0],),
+        mc_pump_mw=None,
+    )
     # The other axes change only the readout, so every value reads one
     # propagated state.
     state = None

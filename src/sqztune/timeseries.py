@@ -38,9 +38,11 @@ the whole grid is the range 0 .. m-1, whose words are one contiguous run.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
@@ -569,43 +571,93 @@ def calibrate(
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "freq_mhz,psd_linear,psd_db,stderr"
+CSV_HEADER = "freq_mhz,psd_linear,stderr"
+_CSV_COLUMNS = tuple(CSV_HEADER.split(","))
+_CSV_BLOCK = 1024  # grid bins formatted at a time
+_MAX_OPEN_FILES = 64  # files a write_spectra_csv pass holds open at once
+
+
+def _write_blocks(spectra: Sequence[SpectrumEstimate], handles: Sequence[TextIO]) -> None:
+    """Write each spectrum's CSV to its handle, one block of grid bins at a
+    time across all the handles.
+
+    Within a block, each distinct column chunk (distinct by its bytes, so
+    -0.0 and 0.0 differ) is formatted once with ``repr`` and its text is
+    reused by every file that holds it, so a shared frequency grid or a
+    spectrum equal to another bit for bit costs one formatting.  Only one
+    block's text is held in memory at a time.
+    """
+    for fh in handles:
+        fh.write(CSV_HEADER + "\n")
+    for start in range(0, spectra[0].freqs_mhz.size, _CSV_BLOCK):
+        cells: dict[bytes, list[str]] = {}
+        for fh, spec in zip(handles, spectra):
+            fields = []
+            for column in (spec.freqs_mhz, spec.psd, spec.stderr):
+                chunk = column[start:start + _CSV_BLOCK]
+                key = chunk.tobytes()
+                if key not in cells:
+                    cells[key] = list(map(repr, chunk.tolist()))
+                fields.append(cells[key])
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+
+
+def write_spectra_csv(items: Sequence[tuple[SpectrumEstimate, str | os.PathLike]]) -> None:
+    """Write each (spectrum, path) pair's CSV, header ``freq_mhz,psd_linear,stderr``.
+
+    The spectra must share one frequency grid; otherwise ValueError is raised
+    before any file is opened.  The files are written together, a block of
+    bins at a time (see :func:`_write_blocks`), at most ``_MAX_OPEN_FILES``
+    of them open at once: more pairs are written in successive passes.
+    Each file equals :func:`spectrum_to_csv` of its spectrum.
+    """
+    items = list(items)
+    if not items:
+        return
+    _require_common_grid(*(spec for spec, _ in items))
+    for first in range(0, len(items), _MAX_OPEN_FILES):
+        group = items[first:first + _MAX_OPEN_FILES]
+        with contextlib.ExitStack() as stack:
+            handles = [stack.enter_context(open(path, "w")) for _, path in group]
+            _write_blocks([spec for spec, _ in group], handles)
 
 
 def write_spectrum_csv(spec: SpectrumEstimate, fh: TextIO) -> None:
-    """Write CSV with header ``freq_mhz,psd_linear,psd_db,stderr`` to ``fh``.
-
-    Rows are formatted a block of bins at a time, so neither the text of a
-    whole spectrum nor its values as Python floats are held in memory.
-    """
-    fh.write(CSV_HEADER + "\n")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psd_db = np.where(spec.psd > 0, 10.0 * np.log10(spec.psd), -np.inf)
-    columns = (spec.freqs_mhz, spec.psd, psd_db, spec.stderr)
-    block = 4096
-    for start in range(0, spec.psd.size, block):
-        rows = zip(*(col[start:start + block].tolist() for col in columns))
-        fh.writelines(map("%r,%r,%r,%r\n".__mod__, rows))
+    """Write one spectrum's CSV, header ``freq_mhz,psd_linear,stderr``, to ``fh``."""
+    _write_blocks([spec], [fh])
 
 
 def spectrum_to_csv(spec: SpectrumEstimate) -> str:
-    """CSV text with header ``freq_mhz,psd_linear,psd_db,stderr``."""
+    """CSV text with header ``freq_mhz,psd_linear,stderr``; every value is its
+    float ``repr``, so :func:`spectrum_from_csv` reads it back bit for bit."""
     out = io.StringIO()
     write_spectrum_csv(spec, out)
     return out.getvalue()
 
 
 def spectrum_from_csv(text: str, normalization: str = "raw") -> SpectrumEstimate:
-    """Parse the CSV written by :func:`spectrum_to_csv`."""
-    lines = [line for line in text.strip().splitlines() if line]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"expected header {CSV_HEADER!r}")
-    freqs, psd, stderr = [], [], []
-    for line in lines[1:]:
-        f, p, _p_db, e = line.split(",")
-        freqs.append(float(f))
-        psd.append(float(p))
-        stderr.append(float(e))
-    return SpectrumEstimate(
-        np.array(freqs), np.array(psd), np.array(stderr), normalization=normalization
-    )
+    """Parse a spectrum CSV such as :func:`spectrum_to_csv` writes.
+
+    Columns are found by header name, in any order, and other columns are
+    ignored, so files with the ``psd_db`` column of earlier versions still
+    load.  A row whose field count differs from the header's, or whose
+    value does not parse, is a ValueError naming its line.
+    """
+    lines = [(number, line.strip()) for number, line in enumerate(text.splitlines(), start=1)]
+    lines = [(number, line) for number, line in lines if line]
+    names = lines[0][1].split(",") if lines else []
+    if any(names.count(name) != 1 for name in _CSV_COLUMNS):
+        raise ValueError(f"expected a header naming each of {CSV_HEADER!r} once")
+    picks = [names.index(name) for name in _CSV_COLUMNS]
+    columns: tuple[list[float], ...] = ([], [], [])
+    for number, line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) != len(names):
+            raise ValueError(f"line {number}: {len(fields)} fields, the header has {len(names)}")
+        try:
+            for values, pick in zip(columns, picks):
+                values.append(float(fields[pick]))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+    freqs, psd, stderr = (np.array(values, dtype=float) for values in columns)
+    return SpectrumEstimate(freqs, psd, stderr, normalization=normalization)

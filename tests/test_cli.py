@@ -1,9 +1,11 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from sqztune.cli import main
-from sqztune.scenarios import get_scenario, save_config, scenario_to_dict
+from sqztune.scenarios import get_scenario, load_config, run_scenario, save_config, scenario_to_dict
 from sqztune.timeseries import spectrum_from_csv
 
 
@@ -170,6 +172,53 @@ class TestRun:
         assert "Traceback" not in captured.err
         assert "nan" not in captured.out
 
+    @pytest.mark.parametrize(
+        "builtin, path, value, named",
+        [
+            ("fig4a", ("pump_sweep_mw",), [450, 450], "450 and 450"),
+            ("fig4b", ("pump_sweep_mw",), [90.0, 270.0, 90.0000001], "90.0 and 90.0000001"),
+            ("fig4a", ("chain", -1, "thetas_rad"), [0.0, 0.004], "0.0 and 0.004"),
+            ("fig4a", ("chain", -1, "thetas_rad"), [0.0, 0.0], "0.0 and 0.0"),
+            ("fig4a", ("chain", -1, "analysis_mhz"), [1.55, 1.55], "1.55 and 1.55"),
+            ("fig5a", ("chain", -1, "analysis_mhz"), [78.45, 81.55, 78.4500001], "78.45 and 78.4500001"),
+        ],
+        ids=["pump-twice", "pump-same-label", "theta-same-degree", "theta-twice",
+             "analysis-twice", "analysis-same-label"],
+    )
+    def test_colliding_output_labels_exit_2(self, tmp_path, capsys, builtin, path, value, named):
+        data = scenario_to_dict(get_scenario(builtin))
+        data["acquisition"].update(samples_per_round=4096, rounds=16, band_width_mhz=0.4)
+        *keys, last = path
+        target = data
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        config = tmp_path / "collide.json"
+        config.write_text(json.dumps(data))
+        assert main(["run", str(config), "--mode", "both", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "share the output label" in err and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("builtin, mc_pumps", [("fig4b", [270.0]), ("fig4a", [])])
+    def test_montecarlo_summary_leaves_rows_without_value_empty(
+        self, tmp_path, capsys, builtin, mc_pumps
+    ):
+        data = scenario_to_dict(get_scenario(builtin))
+        data["acquisition"].update(samples_per_round=1024, rounds=16)
+        data["mc_pump_mw"] = mc_pumps
+        config = tmp_path / "mc.json"
+        config.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(config), "--mode", "montecarlo", "--out", str(out_dir)]) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        with (out_dir / f"{builtin}_summary.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            pump = float(row["quantity"].split("@")[1].removesuffix("mW"))
+            assert (row["model_db"] != "") == (pump in mc_pumps), row
+
     def test_too_few_rounds_exits_2_without_traceback(self, tmp_path, capsys):
         data = scenario_to_dict(get_scenario("fig4a"))
         data["acquisition"]["rounds"] = 3
@@ -192,6 +241,27 @@ class TestRun:
         spectrum_path = out_dir / "fig4a_pump450mW_theta0_corrected.csv"
         spectrum = spectrum_from_csv(spectrum_path.read_text())
         assert spectrum.freqs_mhz.size == 4096 // 2 + 1
+
+    def test_out_writes_each_spectrum_once_bit_exact(self, tmp_path, capsys):
+        # fig5a's beat does not depend on the LO phase, so its theta0 and
+        # theta90 spectra are equal bit for bit and share their formatting.
+        data = scenario_to_dict(get_scenario("fig5a"))
+        data["acquisition"].update(samples_per_round=4096, rounds=16, band_width_mhz=0.4)
+        config = tmp_path / "fig5a.json"
+        config.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(config), "--mode", "both", "--seed", "3", "--out", str(out_dir)]) in (0, 1)
+        result = run_scenario(load_config(config), mode="both", seed=3)
+        raw = [result.spectra[f"pump450mW_{tag}_raw"] for tag in ("theta0", "theta90")]
+        assert np.array_equal(raw[0].psd, raw[1].psd)
+        written = {p.name for p in out_dir.iterdir()} - {"fig5a_summary.csv"}
+        assert written == {f"fig5a_{key}.csv" for key in result.spectra}
+        assert len(written) == 6
+        for key, spectrum in result.spectra.items():
+            parsed = spectrum_from_csv((out_dir / f"fig5a_{key}.csv").read_text())
+            assert np.array_equal(parsed.freqs_mhz, spectrum.freqs_mhz)
+            assert np.array_equal(parsed.psd, spectrum.psd)
+            assert np.array_equal(parsed.stderr, spectrum.stderr)
 
 
 class TestSweep:

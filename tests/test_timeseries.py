@@ -1,9 +1,11 @@
+import contextlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sqztune.homodyne import symmetric_sideband_noise, undb
+from sqztune import timeseries
 from sqztune.optics_components import OpoParams
 from sqztune.timeseries import (
     AcquisitionParams,
@@ -23,6 +25,7 @@ from sqztune.timeseries import (
     spectrum_from_csv,
     spectrum_to_csv,
     synthesize_round,
+    write_spectra_csv,
     write_spectrum_csv,
 )
 
@@ -472,17 +475,104 @@ class TestCsv:
         psd = est.psd.copy()
         psd[[1, 2]] = 0.0, -1.0
         est = SpectrumEstimate(est.freqs_mhz, psd, est.stderr)
-        expected = []
-        for freq, p, err in zip(est.freqs_mhz, est.psd, est.stderr):
-            p_db = float(10.0 * np.log10(p)) if p > 0 else float("-inf")
-            expected.append(f"{float(freq)!r},{float(p)!r},{p_db!r},{float(err)!r}")
+        expected = [
+            f"{float(freq)!r},{float(p)!r},{float(err)!r}"
+            for freq, p, err in zip(est.freqs_mhz, est.psd, est.stderr)
+        ]
         assert spectrum_to_csv(est).splitlines()[1:] == expected
 
     def test_header_enforced(self):
         with pytest.raises(ValueError, match="header"):
             spectrum_from_csv("nope\n1,2,3,4\n")
 
-    def test_zero_psd_serializes_as_minus_inf_db(self):
-        est = SpectrumEstimate(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros(2))
+    def test_zero_and_negative_psd_round_trip(self):
+        est = SpectrumEstimate(np.array([0.0, 1.0, 2.0]), np.array([0.0, -0.0, -1.5]), np.zeros(3))
         text = spectrum_to_csv(est)
-        assert "-inf" in text.splitlines()[1]
+        assert text.splitlines() == [
+            "freq_mhz,psd_linear,stderr", "0.0,0.0,0.0", "1.0,-0.0,0.0", "2.0,-1.5,0.0"
+        ]
+        parsed = spectrum_from_csv(text)
+        assert np.array_equal(parsed.psd, est.psd)
+        assert np.array_equal(np.signbit(parsed.psd), np.signbit(est.psd))
+
+    def test_reads_four_column_files_of_earlier_versions(self):
+        # Written by spectrum_to_csv while it still wrote the derived psd_db column.
+        text = (
+            "freq_mhz,psd_linear,psd_db,stderr\n0.0,0.0,-inf,inf\n"
+            "0.061,0.3333333333333333,-4.771212547196624,nan\n"
+            "0.122,-2.5e-17,-inf,0.1\n0.183,1e+300,3000.0,0.0\n"
+        )
+        parsed = spectrum_from_csv(text)
+        assert np.array_equal(parsed.freqs_mhz, [0.0, 0.061, 0.122, 0.183])
+        assert np.array_equal(parsed.psd, [0.0, 1 / 3, -2.5e-17, 1e300])
+        assert np.array_equal(parsed.stderr, [np.inf, np.nan, 0.1, 0.0], equal_nan=True)
+
+    def test_columns_found_by_header_name(self):
+        parsed = spectrum_from_csv("stderr,note,freq_mhz,psd_linear\n0.5,a,1.0,2.0\n0.25,b,1.5,3.0\n")
+        assert np.array_equal(parsed.freqs_mhz, [1.0, 1.5])
+        assert np.array_equal(parsed.psd, [2.0, 3.0])
+        assert np.array_equal(parsed.stderr, [0.5, 0.25])
+        with pytest.raises(ValueError, match="header"):
+            spectrum_from_csv("freq_mhz,psd_linear\n1.0,2.0\n")
+
+    @pytest.mark.parametrize("row", ["1.0,2.0", "1.0,2.0,0.1,7", "1.0,x,0.1"])
+    def test_bad_row_names_its_line(self, row):
+        text = f"freq_mhz,psd_linear,stderr\n0.5,1.0,0.1\n{row}\n"
+        with pytest.raises(ValueError, match="line 3"):
+            spectrum_from_csv(text)
+
+
+class TestSpectraWriter:
+    def test_multi_spectrum_write_matches_single_writes(self, tmp_path):
+        # BEAT's 5001 bins span several formatting blocks.
+        est = simulate_spectrum(NoiseModel(lorentzian, 0.1, TONE), BEAT)
+        zeroed = est.psd.copy()
+        zeroed[[7, 3000]] = 0.0
+        signed = zeroed.copy()
+        signed[3000] = -0.0
+        err = est.stderr.copy()
+        err[[0, 2047, 2048]] = np.inf, np.nan, -np.inf
+        spectra = [
+            est,
+            SpectrumEstimate(est.freqs_mhz, zeroed, err),
+            SpectrumEstimate(est.freqs_mhz, zeroed.copy(), err.copy()),  # equal bit for bit
+            SpectrumEstimate(est.freqs_mhz, signed, err),  # differs only by a -0.0
+            SpectrumEstimate(est.freqs_mhz, est.stderr, est.psd),  # columns swapped
+        ]
+        paths = [tmp_path / f"spectrum{i}.csv" for i in range(len(spectra))]
+        write_spectra_csv(list(zip(spectra, paths)))
+        for spec, path in zip(spectra, paths):
+            assert path.read_bytes() == spectrum_to_csv(spec).encode()
+        row = f"{float(est.freqs_mhz[3000])!r},{{}},{float(err[3000])!r}"
+        assert paths[2].read_text().splitlines()[3001] == row.format("0.0")
+        assert paths[3].read_text().splitlines()[3001] == row.format("-0.0")
+
+    def test_more_spectra_than_open_file_limit(self, tmp_path, monkeypatch):
+        est = simulate_spectrum(NoiseModel(flat(0.9), 0.1), SMALL)
+        spectra = [
+            SpectrumEstimate(est.freqs_mhz, est.psd * (i + 1), est.stderr)
+            for i in range(timeseries._MAX_OPEN_FILES + 3)
+        ]
+        paths = [tmp_path / f"spectrum{i}.csv" for i in range(len(spectra))]
+        live, most = set(), [0]
+
+        @contextlib.contextmanager
+        def counting_open(path, mode):
+            with open(path, mode) as fh:
+                live.add(path)
+                most[0] = max(most[0], len(live))
+                yield fh
+            live.discard(path)
+
+        monkeypatch.setattr(timeseries, "open", counting_open, raising=False)
+        write_spectra_csv(list(zip(spectra, paths)))
+        assert most[0] == timeseries._MAX_OPEN_FILES
+        for spec, path in zip(spectra, paths):
+            assert path.read_text() == spectrum_to_csv(spec)
+
+    def test_rejects_spectra_on_different_grids(self, tmp_path):
+        a = SpectrumEstimate(np.array([0.0, 1.0]), np.ones(2), np.zeros(2))
+        b = SpectrumEstimate(np.array([0.0, 2.0]), np.ones(2), np.zeros(2))
+        with pytest.raises(ValueError, match="grid"):
+            write_spectra_csv([(a, tmp_path / "a.csv"), (b, tmp_path / "b.csv")])
+        assert not list(tmp_path.iterdir())
