@@ -73,7 +73,6 @@ from .timeseries import (
     calibrate,
     estimate_spectrum,
     mean_power,
-    normalize_to_snl,
     periodogram,
     simulate_spectrum,
     spectrum_from_csv,

@@ -5,6 +5,8 @@ A balanced detector with its local oscillator at ``lo`` and electronic
 analysis frequency ``nu`` reads out the sideband pair at lo +- nu.  The
 noise power in SNL units is the phase-weighted sum of the pair's symmetric
 and antisymmetric quadrature combinations; vacuum gives exactly 1.
+The detected pair of a chain's response gives the readout of any source
+through :meth:`DetectedPair.for_source`.
 """
 
 from __future__ import annotations
@@ -12,16 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gaussian_core import (
     GaussianState,
     ModeLabel,
     add_vacuum_modes,
     partial_trace,
-    quadrature_variance,
 )
-from .optics_components import OpoParams, apply_uniform_loss, opo_variances
+from .optics_components import apply_uniform_loss
 
 SQUEEZED = "squeezed"
 ANTISQUEEZED = "antisqueezed"
@@ -90,26 +89,27 @@ class DetectedPair:
 
     Everything the phase-weighted readout needs, so one reduction serves
     every LO phase: ``plus_variance``, ``minus_variance`` and ``cross_term``
-    as in :class:`NoisePowerResult`, or for a degenerate readout (nu = 0)
-    the ``single`` lossy LO mode, whose rotated quadrature is the value.
+    as in :class:`NoisePowerResult`.  For a degenerate readout (nu = 0) they
+    are the lossy LO mode's X and P variances and twice their covariance.
     """
 
     plus_variance: float
     minus_variance: float
     cross_term: float
     vacuum_filled: tuple[ModeLabel, ...]
-    single: GaussianState | None = None
+
+    def power(self, theta_eff: float):
+        """cos^2 plus + sin^2 minus + sin cos cross at the effective LO phase,
+        as plus + sin^2 (minus - plus) + ..., so a phase-insensitive pair reads
+        the same at every phase bit for bit; an array for array fields."""
+        ct, st = math.cos(theta_eff), math.sin(theta_eff)
+        plus = self.plus_variance
+        return plus + st * st * (self.minus_variance - plus) + st * ct * self.cross_term
 
     def noise_power(self, theta_eff: float) -> NoisePowerResult:
-        """Noise power at the effective LO phase (locked phase plus offset)."""
+        """Noise power at the effective LO phase, with its branch breakdown."""
+        value = float(self.power(theta_eff))
         ct, st = math.cos(theta_eff), math.sin(theta_eff)
-        if self.single is None:
-            value = float(
-                ct * ct * self.plus_variance + st * st * self.minus_variance
-                + st * ct * self.cross_term
-            )
-        else:
-            value = quadrature_variance(self.single, self.single.modes[0], theta_eff)
         return NoisePowerResult(
             value=value,
             value_db=db(value),
@@ -119,6 +119,23 @@ class DetectedPair:
             minus_weight=st * st,
             cross_term=self.cross_term,
             vacuum_filled=self.vacuum_filled,
+        )
+
+    def for_source(self, vs, va) -> DetectedPair:
+        """The pair of a source with squeezed / antisqueezed variances (vs, va),
+        this pair being the chain's response (its readout at vs = 2, va = 1).
+
+        Gaussian channels are affine in the input covariance, and passive
+        elements commute with a global phase rotation: the excess vs - 1 reads
+        out as the response's, the excess va - 1 as the response turned by
+        pi/2 (plus and minus swapped, cross negated).  vs, va may be arrays.
+        """
+        d_plus, d_minus = self.plus_variance - 1.0, self.minus_variance - 1.0
+        return DetectedPair(
+            1.0 + (vs - 1.0) * d_plus + (va - 1.0) * d_minus,
+            1.0 + (vs - 1.0) * d_minus + (va - 1.0) * d_plus,
+            (vs - va) * self.cross_term,
+            self.vacuum_filled,
         )
 
 
@@ -137,9 +154,8 @@ def detect_pair(
         # Degenerate readout: the noise power is the single rotated quadrature.
         missing = () if lo in state.modes else (lo,)
         work = add_vacuum_modes(state, missing)
-        single = apply_uniform_loss(partial_trace(work, (lo,)), efficiency)
-        c = single.cov
-        return DetectedPair(float(c[0, 0]), float(c[1, 1]), float(2.0 * c[0, 1]), missing, single)
+        c = apply_uniform_loss(partial_trace(work, (lo,)), efficiency).cov
+        return DetectedPair(float(c[0, 0]), float(c[1, 1]), float(2.0 * c[0, 1]), missing)
 
     lower = lo.shifted_mhz(-nu_mhz)
     upper = lo.shifted_mhz(nu_mhz)
@@ -228,46 +244,3 @@ def asymmetric_beat_noise(r: float, eta: float, include_vacuum_half: bool = True
     if include_vacuum_half:
         value += 0.5
     return value
-
-
-# ---------------------------------------------------------------------------
-# Analytic noise-power spectra (callables over analysis frequency, SNL units)
-# ---------------------------------------------------------------------------
-
-def symmetric_sideband_noise(
-    opo: OpoParams, eta: float, theta: float, delta_theta: float = 0.0
-):
-    """Noise power vs analysis frequency for an LO matched to the state.
-
-    Both sideband members are populated and correlated; the curve is the
-    phase-weighted pair of source variances at overall efficiency ``eta``.
-    """
-    theta_eff = theta + delta_theta
-    w_plus = math.cos(theta_eff) ** 2
-    w_minus = math.sin(theta_eff) ** 2
-
-    def psd(nu_mhz):
-        squeezed, antisqueezed = opo_variances(opo, np.abs(nu_mhz), eta)
-        return w_plus * squeezed + w_minus * antisqueezed
-
-    return psd
-
-
-def shifted_single_sideband_noise(opo: OpoParams, eta: float, shift_mhz: float):
-    """Noise power vs analysis frequency for a shifted state and unshifted LO.
-
-    Each analysis pair holds one thermal member of the shifted state (at
-    source detuning |nu - shift|) and one vacuum mode; the result is
-    phase-insensitive.
-    """
-
-    def psd(nu_mhz):
-        detuning = np.abs(np.asarray(nu_mhz, dtype=float) - shift_mhz)
-        squeezed, antisqueezed = opo_variances(opo, detuning, eta)
-        single = (np.asarray(squeezed) + np.asarray(antisqueezed)) / 2.0
-        out = (single + 1.0) / 2.0
-        if np.isscalar(nu_mhz) or np.ndim(nu_mhz) == 0:
-            return float(out)
-        return out
-
-    return psd

@@ -93,16 +93,12 @@ def opo_variances(p: OpoParams, nu_mhz, eta: float):
     return squeezed, antisqueezed
 
 
-def opo_sideband_state(p: OpoParams, nu_mhz: float) -> GaussianState:
-    """Two-mode state of the sideband pair at carrier detunings -nu and +nu.
-
-    The symmetric X combination and antisymmetric P combination are squeezed;
-    only the escape efficiency is folded in here, downstream losses are
-    separate chain elements.
-    """
+def sideband_pair_state(vs: float, va: float, nu_mhz: float) -> GaussianState:
+    """Two-mode state of the sideband pair at carrier detunings -nu and +nu
+    whose symmetric X and antisymmetric P combinations have variance ``vs``
+    and the other two combinations ``va``."""
     if nu_mhz <= 0:
         raise ValueError("sideband state needs nu > 0 (distinct sideband labels)")
-    vs, va = opo_variances(p, nu_mhz, p.escape_efficiency)
     diag = (vs + va) / 2.0
     cx = (vs - va) / 2.0
     lower = ModeLabel.from_mhz(-nu_mhz)
@@ -116,6 +112,16 @@ def opo_sideband_state(p: OpoParams, nu_mhz: float) -> GaussianState:
         ]
     )
     return GaussianState((lower, upper), cov)
+
+
+def opo_sideband_state(p: OpoParams, nu_mhz: float) -> GaussianState:
+    """Two-mode state of the sideband pair at carrier detunings -nu and +nu.
+
+    The symmetric X combination and antisymmetric P combination are squeezed;
+    only the escape efficiency is folded in here, downstream losses are
+    separate chain elements.
+    """
+    return sideband_pair_state(*opo_variances(p, nu_mhz, p.escape_efficiency), nu_mhz)
 
 
 def aom_transform(

@@ -3,6 +3,11 @@ Declarative experiment scenarios: a chain of optical elements from the
 parametric source to the homodyne detector, reference measurement values
 with tolerances, an analytic + Monte-Carlo runner, and parameter sweeps.
 
+Both paths read one pump-independent chain response (:func:`chain_response`),
+propagated once per run or sweep and reduced once per analysis band: the
+analytic rows evaluate it at the band-centre source variances, and the
+Monte-Carlo target spectrum at each grid bin's source variances.
+
 Builtin scenarios (fig4a, fig4b, fig5a, fig5b, fig5c) reproduce the
 measured operating points: direct readout of the source state, the pump
 sweep, the beat readout of the tuned state with the carrier LO, the tuned
@@ -23,15 +28,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .gaussian_core import GaussianState, ModeLabel
-from .homodyne import (
-    HdConfig,
-    NoisePowerResult,
-    db,
-    detect_pair,
-    hd_noise_power,
-    shifted_single_sideband_noise,
-    symmetric_sideband_noise,
-)
+from .homodyne import DetectedPair, NoisePowerResult, db, detect_pair
 from .optics_components import (
     SPLIT_NORM_TOL,
     AbiParams,
@@ -41,6 +38,8 @@ from .optics_components import (
     apply_aom,
     apply_uniform_loss,
     opo_sideband_state,
+    opo_variances,
+    sideband_pair_state,
 )
 from .timeseries import (
     AcquisitionParams,
@@ -220,8 +219,14 @@ class ScenarioConfig:
     mc_pump_mw: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("scenario name must not be empty")
+        # Output files are named after the scenario, inside the output directory.
+        if not isinstance(self.name, str) or self.name in ("", ".", "..") or any(
+            c in self.name for c in "/\\\0"
+        ):
+            raise ConfigError(
+                f"scenario name must be a plain file name (not empty, '.' or '..'; "
+                f"no '/', '\\' or NUL), got {self.name!r}"
+            )
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.chain:
@@ -479,13 +484,12 @@ def _opo_params(cfg: ScenarioConfig, pump: float) -> OpoParams:
         raise ConfigError(str(exc)) from None
 
 
-def propagate_chain(cfg: ScenarioConfig, pump_mw: float) -> GaussianState:
-    """Source sideband pair propagated through every mid-chain element.
+def _propagate(cfg: ScenarioConfig, state: GaussianState) -> GaussianState:
+    """``state`` sent through every mid-chain element.
 
     A tuner or AOM whose shift pairs a mode with a partner that is already
     paired (its mode pairs overlap) is a ConfigError naming the element.
     """
-    state = opo_sideband_state(_opo_params(cfg, pump_mw), cfg.source_detuning_mhz)
     for position, element in enumerate(cfg.chain[1:-1], start=1):
         if isinstance(element, LossSpec):
             state = apply_uniform_loss(state, element.efficiency)
@@ -511,34 +515,63 @@ def propagate_chain(cfg: ScenarioConfig, pump_mw: float) -> GaussianState:
     return state
 
 
+def propagate_chain(cfg: ScenarioConfig, pump_mw: float) -> GaussianState:
+    """Source sideband pair at ``pump_mw`` propagated through every mid-chain
+    element: the physical state, which :func:`chain_response` stands in for."""
+    return _propagate(cfg, opo_sideband_state(_opo_params(cfg, pump_mw), cfg.source_detuning_mhz))
+
+
+def chain_response(cfg: ScenarioConfig) -> GaussianState:
+    """The source sideband pair with unit excess noise in its squeezed
+    combinations (vs = 2, va = 1: covariance I + (I + K)/2) propagated through
+    every mid-chain element.  It holds no pump: its detected pair gives any
+    source's readout through :meth:`DetectedPair.for_source`."""
+    return _propagate(cfg, sideband_pair_state(2.0, 1.0, cfg.source_detuning_mhz))
+
+
+def _detect(cfg: ScenarioConfig, response: GaussianState, analysis_mhz: float) -> DetectedPair:
+    hd = cfg.hd
+    return detect_pair(response, ModeLabel.from_mhz(hd.lo_offset_mhz), analysis_mhz, hd.efficiency)
+
+
+def _source(cfg: ScenarioConfig, pump_mw: float):
+    """The source's (vs, va) as a function of detuning at this pump, escape
+    efficiency folded in as in :func:`opo_sideband_state`."""
+    opo = _opo_params(cfg, pump_mw)
+    return lambda detuning_mhz: opo_variances(opo, detuning_mhz, opo.escape_efficiency)
+
+
 def analytic_noise(cfg: ScenarioConfig, pump_mw: float, theta: float, analysis_mhz: float) -> NoisePowerResult:
-    """Analytic noise power for one (pump, phase, analysis frequency) point."""
-    state = propagate_chain(cfg, pump_mw)
-    hd = cfg.hd
-    return hd_noise_power(
-        state,
-        HdConfig(
-            lo=ModeLabel.from_mhz(hd.lo_offset_mhz),
-            theta=theta,
-            nu_mhz=analysis_mhz,
-            delta_theta=hd.delta_theta_rad,
-            efficiency=hd.efficiency,
-        ),
-    )
+    """Analytic noise power for one (pump, phase, analysis frequency) point:
+    the chain response read at the band-centre source variances, equal to
+    ``hd_noise_power`` of :func:`propagate_chain` up to rounding."""
+    pair = _detect(cfg, chain_response(cfg), analysis_mhz)
+    readout = pair.for_source(*_source(cfg, pump_mw)(cfg.source_detuning_mhz))
+    return readout.noise_power(theta + cfg.hd.delta_theta_rad)
 
 
-def _mc_psd_function(cfg: ScenarioConfig, pump: float, theta: float):
-    """Full-grid noise model for Monte-Carlo synthesis of one variant."""
-    for element in cfg.chain[1:-1]:
-        if isinstance(element, AomSpec):
-            raise ConfigError("Monte-Carlo mode does not support bare AOM chain elements")
-    opo = _opo_params(cfg, pump)
-    flat = OpoParams(opo.pump_mw, opo.threshold_mw, opo.bandwidth_mhz, 1.0)
-    eta = cfg.chain_efficiency_total
+def _mc_psd(cfg: ScenarioConfig, pairs: Sequence[DetectedPair], source, theta: float):
+    """Optical target PSD of one (pump, LO phase) over grid frequencies nu >= 0.
+
+    Bin nu reads the source at its detuning min(|lo + nu - s|, |lo - nu - s|)
+    = |nu - |lo - s|| (s: the net tuner shift) through the detected response
+    pair of its nearest analysis band (``pairs``, in ``analysis_mhz`` order),
+    weighted per LO phase as the analytic rows are.
+    """
     hd = cfg.hd
-    if cfg.is_symmetric(hd.analysis_mhz[0]):
-        return symmetric_sideband_noise(flat, eta, theta, hd.delta_theta_rad)
-    return shifted_single_sideband_noise(flat, eta, cfg.total_shift_mhz)
+    offset = abs(hd.lo_offset_mhz - cfg.total_shift_mhz)
+    order = np.argsort(hd.analysis_mhz)
+    centres = np.array(hd.analysis_mhz)[order]
+    edges = (centres[:-1] + centres[1:]) / 2.0
+    pairs = [pairs[i] for i in order]
+    theta_eff = theta + hd.delta_theta_rad
+
+    def psd(freqs):
+        vs, va = source(np.abs(freqs - offset))
+        powers = [pair.for_source(vs, va).power(theta_eff) for pair in pairs]
+        return np.choose(np.searchsorted(edges, freqs), powers)
+
+    return psd
 
 
 def _flat_psd(level: float):
@@ -601,18 +634,15 @@ def run_scenario(
     those bins and ``spectra`` stays empty; the rows are the same bit for
     bit.  By default every spectrum covers the whole grid and is returned.
 
-    The analytic values read each pump's chain, propagated once
-    (:func:`propagate_chain`), reduced once per analysis band
-    (:func:`detect_pair`) and weighted per LO phase; they equal
-    :func:`analytic_noise` point for point.  ``state`` passes in the
-    propagated state of a single-pump config, which :func:`sweep`
-    propagates once when its values change only the readout.
+    The chain is propagated once, as its response (:func:`chain_response`),
+    and reduced once per analysis band.  The analytic values read those pairs
+    at the band-centre source variances (they equal :func:`analytic_noise`),
+    the Monte-Carlo targets at each grid bin's.  ``state`` passes in the
+    response, which :func:`sweep` computes once for all of its values.
     """
     mode = cfg.mode if mode is None else mode
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if state is not None and len(cfg.pump_sweep_mw) != 1:
-        raise ValueError("a propagated state can be passed only with a single pump")
     acq = _acquisition(cfg, seed)
     want_analytic = mode in ("analytic", "both")
     want_mc = mode in ("montecarlo", "both")
@@ -621,7 +651,8 @@ def run_scenario(
     hd = cfg.hd
     thetas, bands = hd.thetas_rad, hd.analysis_mhz
     symmetric = [cfg.is_symmetric(analysis) for analysis in bands]
-    lo = ModeLabel.from_mhz(hd.lo_offset_mhz) if want_analytic else None
+    response = chain_response(cfg) if state is None else state
+    pairs = [_detect(cfg, response, analysis) for analysis in bands]
     spectra: dict[str, SpectrumEstimate] = {}
     if want_mc:
         band_bins = _analysis_bins(cfg, acq)  # checked on both paths
@@ -632,10 +663,11 @@ def run_scenario(
 
     rows: list[ResultRow] = []
     for pump_index, pump in enumerate(cfg.pump_sweep_mw):
+        source = _source(cfg, pump)
         corrected = [None] * len(thetas)
         if want_mc and pump in mc_pumps:
             models = [
-                NoiseModel(_mc_psd_function(cfg, pump, theta), cfg.electronic_floor,
+                NoiseModel(_mc_psd(cfg, pairs, source, theta), cfg.electronic_floor,
                            cfg.interference_tones)
                 for theta in thetas
             ]
@@ -657,16 +689,16 @@ def run_scenario(
                     spectra[f"{key}_raw"] = signal_est
                     spectra[f"{key}_corrected"] = corrected[i]
 
-        pairs = [None] * len(bands)
+        readouts = [None] * len(bands)
         if want_analytic:
-            pump_state = propagate_chain(cfg, pump) if state is None else state
-            pairs = [detect_pair(pump_state, lo, analysis, hd.efficiency) for analysis in bands]
+            band_centre = source(cfg.source_detuning_mhz)
+            readouts = [pair.for_source(*band_centre) for pair in pairs]
 
         for theta, corrected_est in zip(thetas, corrected):
-            for analysis, pair, sym in zip(bands, pairs, symmetric):
+            for analysis, readout, sym in zip(bands, readouts, symmetric):
                 analytic_linear = analytic_db = None
-                if pair is not None:
-                    result = pair.noise_power(theta + hd.delta_theta_rad)
+                if readout is not None:
+                    result = readout.noise_power(theta + hd.delta_theta_rad)
                     analytic_linear, analytic_db = result.value, result.value_db
                 mc_db = None
                 if corrected_est is not None:
@@ -752,6 +784,9 @@ def sweep(
     if not cfg.is_symmetric(cfg.hd.analysis_mhz[0]):
         raise ConfigError("sweep supports scenarios with the LO matched to the state")
     mode = cfg.mode if mode is None else mode
+    # No axis changes the mid-chain elements, so every value reads one
+    # chain response.
+    response = chain_response(cfg)
     # Every value shares the acquisition, seed and electronic floor, so the
     # noise spectra are simulated once per sweep.
     noise = None
@@ -766,11 +801,6 @@ def sweep(
         pump_sweep_mw=(cfg.pump_sweep_mw[0],),
         mc_pump_mw=None,
     )
-    # The other axes change only the readout, so every value reads one
-    # propagated state.
-    state = None
-    if parameter != "pump_mw" and mode in ("analytic", "both"):
-        state = propagate_chain(base, base.pump_sweep_mw[0])
     records = []
     for value in values:
         if parameter == "pump_mw":
@@ -780,7 +810,7 @@ def sweep(
         else:
             variant = _with_hd(base, efficiency=float(value))
         result = run_scenario(
-            variant, mode=mode, seed=seed, noise=noise, bands_only=True, state=state
+            variant, mode=mode, seed=seed, noise=noise, bands_only=True, state=response
         )
         first_band = variant.hd.analysis_mhz[0]
         by_theta = {

@@ -523,18 +523,6 @@ def _require_common_grid(*spectra: SpectrumEstimate) -> None:
             raise ValueError("spectra must share an identical frequency grid")
 
 
-def normalize_to_snl(signal: SpectrumEstimate, snl: SpectrumEstimate) -> SpectrumEstimate:
-    """Bin-wise ratio to the shot-noise trace (no electronic-noise correction)."""
-    _require_common_grid(signal, snl)
-    if np.any(snl.psd <= 0):
-        raise ValueError("shot-noise spectrum must be positive everywhere")
-    psd = signal.psd / snl.psd
-    stderr = np.sqrt(
-        (signal.stderr / snl.psd) ** 2 + (signal.psd * snl.stderr / snl.psd**2) ** 2
-    )
-    return SpectrumEstimate(signal.freqs_mhz, psd, stderr, normalization="snl_normalized")
-
-
 def calibrate(
     signal: SpectrumEstimate,
     snl: SpectrumEstimate,

@@ -11,6 +11,7 @@ from sqztune.gaussian_core import (
     two_mode_squeezer,
     vacuum_state,
 )
+from sqztune import scenarios
 from sqztune.optics_components import AbiParams, apply_abi
 
 MODE_POOL = tuple(ModeLabel.from_mhz(m) for m in (-2.0, -1.0, 0.0, 1.0, 2.0))
@@ -60,3 +61,12 @@ def random_chain_state(rng: np.random.Generator) -> GaussianState:
         )
         state = apply_abi(state, params)
     return state
+
+
+def mc_target_psd(cfg: scenarios.ScenarioConfig, theta: float, pump: float | None = None):
+    """The optical Monte-Carlo target PSD run_scenario builds for ``cfg`` at
+    LO phase ``theta`` and ``pump`` (default: the first pump)."""
+    pump = cfg.pump_sweep_mw[0] if pump is None else pump
+    response = scenarios.chain_response(cfg)
+    pairs = [scenarios._detect(cfg, response, analysis) for analysis in cfg.hd.analysis_mhz]
+    return scenarios._mc_psd(cfg, pairs, scenarios._source(cfg, pump), theta)

@@ -133,9 +133,9 @@ class TestRun:
     @pytest.mark.parametrize(
         "elements, modes",
         [
-            ([{"kind": "aom", "t": 0.8, "r": 0.6, "shift_mhz": 3.1}], ["analytic"]),
-            ([{"kind": "abi", "shift_mhz": 3.1}], ["analytic", "both"]),
-            ([{"kind": "aom", "t": 0.8, "r": 0.6, "shift_mhz": 10.0}] * 2, ["analytic"]),
+            ([{"kind": "aom", "t": 0.8, "r": 0.6, "shift_mhz": 3.1}], ["analytic", "montecarlo"]),
+            ([{"kind": "abi", "shift_mhz": 3.1}], ["analytic", "both", "montecarlo"]),
+            ([{"kind": "aom", "t": 0.8, "r": 0.6, "shift_mhz": 10.0}] * 2, ["analytic", "montecarlo"]),
         ],
         ids=["aom-3.1", "abi-3.1", "two-aoms-10"],
     )
@@ -152,6 +152,43 @@ class TestRun:
             assert f"chain element {len(elements) + 1} ({elements[-1]['kind']}" in err
             assert "overlap" in err
             assert "Traceback" not in err
+
+    def test_montecarlo_run_rejects_overlapping_tuner_pairs(self, tmp_path, capsys):
+        # A 3.1 MHz tuner with the LO at the shift pairs fig5b's source
+        # sidebands -1.55 and +1.55 with each other: a Monte-Carlo-only run
+        # propagates the chain response too, so it exits 2 like an analytic
+        # run, before any reference check.
+        data = scenario_to_dict(get_scenario("fig5b"))
+        data["chain"][2]["shift_mhz"] = 3.1
+        data["chain"][-1]["lo_offset_mhz"] = 3.1
+        data["acquisition"].update(samples_per_round=4096, rounds=16)
+        config = tmp_path / "overlap.json"
+        config.write_text(json.dumps(data))
+        assert main(["run", str(config), "--mode", "montecarlo"]) == 2
+        captured = capsys.readouterr()
+        assert "chain element 2 (abi, shift 3.1 MHz)" in captured.err and "overlap" in captured.err
+        assert "Traceback" not in captured.err
+        assert "FAIL" not in captured.out
+
+    @pytest.mark.parametrize(
+        "name", ["sub/fig4a", "../escape", "..", ".", "a\\b", "nul\0name"],
+        ids=["subdirectory", "parent-escape", "dot-dot", "dot", "backslash", "nul"],
+    )
+    def test_name_that_is_not_a_plain_file_name_exits_2(self, tmp_path, capsys, name):
+        data = scenario_to_dict(get_scenario("fig4a"))
+        data["name"] = name
+        config = tmp_path / "named.json"
+        config.write_text(json.dumps(data))
+        out_dir = tmp_path / "work" / "out"
+        out_dir.mkdir(parents=True)
+        assert main(["run", str(config), "--mode", "analytic", "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario name" in err
+        assert "Traceback" not in err
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+            config.relative_to(tmp_path), out_dir.parent.relative_to(tmp_path),
+            out_dir.relative_to(tmp_path),
+        ]
 
     @pytest.mark.parametrize(
         "changes",

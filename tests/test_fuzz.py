@@ -119,7 +119,7 @@ def apply_chain_change(chain, change):
 @hypothesis.given(
     name=st.sampled_from(sorted(BUILTIN_SCENARIOS)),
     command=st.sampled_from(["run", "pump_mw", "hd_efficiency", "delta_theta_rad"]),
-    mode=st.sampled_from(["analytic", "both"]),
+    mode=st.sampled_from(["analytic", "both", "montecarlo"]),
     chain_changes=st.lists(chain_change, max_size=2),
     top_changes=st.lists(top_change, max_size=2, unique_by=lambda kv: kv[0]).map(dict),
 )

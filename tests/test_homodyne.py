@@ -19,8 +19,6 @@ from sqztune.homodyne import (
     detect_pair,
     hd_noise_power,
     r_from_antisqueezing,
-    shifted_single_sideband_noise,
-    symmetric_sideband_noise,
     undb,
     variance_from_r,
 )
@@ -318,23 +316,3 @@ class TestAsymmetricBeatNoise:
             for t in (0.0, np.pi / 2, 1.234)
         ]
         assert max(values) - min(values) < 1e-12
-
-
-class TestNoiseCurves:
-    def test_symmetric_curve_matches_pointwise(self):
-        curve = symmetric_sideband_noise(OpoParams(450.0), 0.708, 0.0, OFFSET_6DEG)
-        state = opo_sideband_state(OpoParams(450.0), 1.55)
-        cfg = HdConfig(
-            lo=CARRIER, theta=0.0, nu_mhz=1.55, delta_theta=OFFSET_6DEG, efficiency=0.708
-        )
-        assert curve(1.55) == pytest.approx(hd_noise_power(state, cfg).value, abs=1e-12)
-        grid = np.linspace(0.0, 25.0, 101)
-        values = curve(grid)
-        assert values.shape == grid.shape
-        assert np.all(values > 0)
-
-    def test_shifted_curve_peaks_at_the_shift(self):
-        curve = shifted_single_sideband_noise(OpoParams(450.0), 0.4398, 80.0)
-        assert curve(80.0) > curve(81.55) > curve(120.0)
-        assert curve(78.45) == pytest.approx(curve(81.55), rel=1e-12)
-        assert curve(120.0) == pytest.approx(1.0, abs=0.05)

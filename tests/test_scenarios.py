@@ -4,7 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import mc_target_psd
 from sqztune import scenarios
+from sqztune.gaussian_core import ModeLabel
+from sqztune.homodyne import HdConfig, hd_noise_power
 from sqztune.scenarios import (
     BUILTIN_SCENARIOS,
     REFERENCE_TABLE,
@@ -17,6 +20,7 @@ from sqztune.scenarios import (
     ScenarioConfig,
     SourceSpec,
     analytic_noise,
+    chain_response,
     emit_reference,
     get_scenario,
     list_scenarios,
@@ -31,7 +35,7 @@ from sqztune.scenarios import (
     sweep,
     sweep_csv,
 )
-from sqztune.timeseries import band_slice
+from sqztune.timeseries import band_power_stderr, band_slice
 
 FAST_ACQ = dict(
     sample_rate_msps=50.0,
@@ -221,9 +225,12 @@ class TestValidation:
             ("interference_tones", ((True, 1.0),), "frequency"),
             ("electronic_floor", 1e308, "electronic_floor"),
             ("electronic_floor", True, "electronic_floor"),
+            ("name", 7, "scenario name"),
+            ("name", "sub/fig4a", "scenario name"),
         ],
         ids=["pump-str", "pump-bool", "pump-inf", "pump-negative", "mc-pump-bool",
-             "tone-negative", "tone-zero", "tone-bool", "floor-huge", "floor-bool"],
+             "tone-negative", "tone-zero", "tone-bool", "floor-huge", "floor-bool",
+             "name-int", "name-path"],
     )
     def test_bad_top_level_values_rejected(self, field, value, match):
         with pytest.raises(ConfigError, match=match):
@@ -235,26 +242,27 @@ class TestValidation:
 
 @pytest.fixture
 def propagations(monkeypatch):
-    """The pump of every propagate_chain call made through the module."""
+    """The config name of every pass through the chain made in the module."""
     calls = []
+    propagate = scenarios._propagate
 
-    def counting(cfg, pump_mw):
-        calls.append(pump_mw)
-        return propagate_chain(cfg, pump_mw)
+    def counting(cfg, state):
+        calls.append(cfg.name)
+        return propagate(cfg, state)
 
-    monkeypatch.setattr(scenarios, "propagate_chain", counting)
+    monkeypatch.setattr(scenarios, "_propagate", counting)
     return calls
 
 
 class TestAnalyticReadout:
-    """run_scenario reads one propagated state per pump and one reduction per
+    """run_scenario propagates one chain response and reduces it once per
     band; its analytic values are analytic_noise's, point for point."""
 
     def assert_rows_equal_per_point(self, cfg, propagations):
         rows = run_scenario(cfg, mode="analytic").rows
-        assert propagations == list(cfg.pump_sweep_mw)
+        assert propagations == [cfg.name]
         hd = cfg.hd
-        assert len(rows) == len(propagations) * len(hd.thetas_rad) * len(hd.analysis_mhz)
+        assert len(rows) == len(cfg.pump_sweep_mw) * len(hd.thetas_rad) * len(hd.analysis_mhz)
         for row in rows:
             point = analytic_noise(cfg, row.pump_mw, row.theta_rad, row.analysis_mhz)
             assert (row.analytic_linear, row.analytic_db) == (point.value, point.value_db)
@@ -277,10 +285,17 @@ class TestAnalyticReadout:
             replace(cfg, chain=chain, pump_sweep_mw=(270.0, 450.0)), propagations
         )
 
-    def test_passed_state_needs_a_single_pump(self):
+    def test_passed_response_serves_every_pump(self, propagations):
         cfg = get_scenario("fig4b")
-        with pytest.raises(ValueError, match="single pump"):
-            run_scenario(cfg, mode="analytic", state=propagate_chain(cfg, 270.0))
+        rows = run_scenario(cfg, mode="analytic", state=chain_response(cfg)).rows
+        assert propagations == ["fig4b"]  # the chain_response call
+        assert rows == run_scenario(cfg, mode="analytic").rows
+
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo", "both"])
+    def test_one_propagation_per_run(self, mode, propagations):
+        cfg = fast(replace(get_scenario("fig5c"), mc_pump_mw=(90.0, 450.0)))
+        run_scenario(cfg, mode=mode, seed=3)
+        assert propagations == ["fig5c"]
 
     @pytest.mark.parametrize(
         "elements",
@@ -297,6 +312,136 @@ class TestAnalyticReadout:
         pattern = rf"chain element {position} \({kind}, shift .* MHz\): .*overlap"
         with pytest.raises(ConfigError, match=pattern):
             run_scenario(cfg, mode="analytic")
+
+
+def random_chain_config(rng: np.random.Generator) -> ScenarioConfig:
+    """A builtin readout with a random source escape, tuner (phi, V, zeta),
+    optional bare AOM and pumps 0, 1e-300 and one below threshold; it may
+    be rejected for overlapping mode pairs only when propagated."""
+    base = get_scenario(str(rng.choice(["fig4a", "fig5a", "fig5b"])))
+    mid = []
+    for element in base.chain[1:-1]:
+        if isinstance(element, AbiSpec):
+            element = replace(element, phi_rad=rng.uniform(-np.pi, np.pi),
+                              visibility=rng.uniform(0.0, 1.0), zeta=rng.uniform(0.5, 1.0))
+        mid.append(element)
+    if rng.uniform() < 0.6:
+        angle = rng.uniform(0.0, np.pi / 2)
+        # -163.1 MHz folds the tuned mode at +81.55 MHz onto its mirror
+        # -81.55 MHz, which the carrier LO reads in the same band.
+        aom = AomSpec(math.cos(angle), math.sin(angle), float(rng.choice([-163.1, 10.0, -20.0, 3.1])))
+        mid.insert(int(rng.integers(0, len(mid) + 1)), aom)
+    hd = replace(base.hd, thetas_rad=(0.0, math.pi / 2, rng.uniform(0.2, 1.3)),
+                 delta_theta_rad=rng.uniform(-0.3, 0.3))
+    source = SourceSpec(escape_efficiency=rng.uniform(0.3, 1.0))
+    return replace(base, name="random", chain=(source, *mid, hd),
+                   pump_sweep_mw=(0.0, 1e-300, rng.uniform(1.0, 979.0)), mc_pump_mw=None)
+
+
+class TestChainResponse:
+    """One pump-independent chain response read at the source variances
+    gives the physical state's readout, on every accepted chain."""
+
+    @staticmethod
+    def assert_rows_read_the_propagated_state(cfg):
+        hd = cfg.hd
+        lo = ModeLabel.from_mhz(hd.lo_offset_mhz)
+        states = {pump: propagate_chain(cfg, pump) for pump in cfg.pump_sweep_mw}
+        rows = run_scenario(cfg, mode="analytic").rows
+        assert len(rows) == len(states) * len(hd.thetas_rad) * len(hd.analysis_mhz)
+        for row in rows:
+            readout = HdConfig(lo, row.theta_rad, row.analysis_mhz, hd.delta_theta_rad, hd.efficiency)
+            expected = hd_noise_power(states[row.pump_mw], readout).value
+            assert row.analytic_linear == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtin_rows(self, name):
+        self.assert_rows_read_the_propagated_state(get_scenario(name))
+
+    def test_random_accepted_chains(self):
+        rng = np.random.default_rng(2012)
+        accepted = folded = 0
+        while accepted < 200:
+            cfg = random_chain_config(rng)
+            try:
+                chain_response(cfg)
+            except ConfigError as exc:
+                assert "overlap" in str(exc)
+                continue
+            self.assert_rows_read_the_propagated_state(cfg)
+            accepted += 1
+            folded += any(isinstance(e, AomSpec) and e.shift_mhz == -163.1 for e in cfg.chain)
+        assert folded >= 20
+
+
+class TestMonteCarloTarget:
+    """The Monte-Carlo target spectrum reads the chain response per bin."""
+
+    def test_beat_target_peaks_at_the_shift(self):
+        cfg = get_scenario("fig5a")
+        grid = cfg.acquisition.grid_mhz
+        psd = mc_target_psd(cfg, math.pi / 2)
+        assert grid[np.argmax(psd(grid))] == pytest.approx(80.0, abs=1e-9)
+        at = dict(zip((80.0, 81.55, 78.45, 120.0), psd(np.array([80.0, 81.55, 78.45, 120.0]))))
+        assert at[80.0] > at[81.55] > at[120.0]
+        assert at[78.45] == pytest.approx(at[81.55], rel=1e-12)
+        assert at[120.0] == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "name, phi",
+        [("fig4a", 0.0), ("fig4b", 0.0), ("fig5b", 0.0), ("fig5b", 0.6), ("fig5c", 0.0),
+         ("fig5c", 0.6)],
+    )
+    def test_matched_lo_target_equals_analytic_at_band_centre(self, name, phi):
+        cfg = get_scenario(name)
+        cfg = replace(cfg, chain=tuple(replace(e, phi_rad=phi) if isinstance(e, AbiSpec) else e
+                                       for e in cfg.chain))
+        acq = cfg.acquisition
+        centre = acq.grid_mhz[round(1.55 / acq.bin_spacing_mhz)]
+        for row in run_scenario(cfg, mode="analytic").rows:
+            psd = mc_target_psd(cfg, row.theta_rad, row.pump_mw)(np.array([centre]))
+            assert psd[0] == pytest.approx(row.analytic_linear, rel=1e-12, abs=0.0)
+
+    def test_each_band_reads_its_own_pair(self):
+        # A -163.1 MHz AOM mixes +81.55 MHz with its mirror -81.55 MHz but
+        # moves 78.45 MHz to -84.65 MHz, so the two beat bands read
+        # different response pairs.
+        cfg = get_scenario("fig5a")
+        cfg = replace(cfg, chain=cfg.chain[:-1] + (AomSpec(0.8, 0.6, -163.1), cfg.hd))
+        rows = run_scenario(cfg, mode="analytic").rows
+        assert len({row.analytic_linear for row in rows}) == 2
+        for row in rows:
+            psd = mc_target_psd(cfg, row.theta_rad)(np.array([row.analysis_mhz]))
+            assert psd[0] == pytest.approx(row.analytic_linear, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "name, change",
+        [
+            ("fig5b", {"phi_rad": 0.6}),
+            ("fig5b", {"phi_rad": math.pi / 2}),
+            ("fig4a", AomSpec(0.8, 0.6, 10.0)),
+            ("fig5a", {"phi_rad": 0.6, "visibility": 0.7}),
+        ],
+        ids=["fig5b-phi0.6", "fig5b-phi-half-pi", "fig4a-aom", "fig5a-phi0.6-V0.7"],
+    )
+    def test_monte_carlo_agrees_with_analytic(self, name, change):
+        # The closed forms this target replaced ignored the tuner phase and
+        # had no bare AOM: fig5b at phi = 0.6 read -1.8 dB for -0.4 dB.
+        cfg = get_scenario(name)
+        if isinstance(change, AomSpec):
+            chain = cfg.chain[:-1] + (change, cfg.hd)
+        else:
+            chain = tuple(replace(e, **change) if isinstance(e, AbiSpec) else e for e in cfg.chain)
+        cfg = replace(cfg, chain=chain,
+                      acquisition=replace(cfg.acquisition, samples_per_round=8192, rounds=400))
+        width = cfg.acquisition.band_width_mhz
+        for seed in range(5):
+            result = run_scenario(cfg, mode="both", seed=seed)
+            for row in result.rows:
+                key = f"pump{row.pump_mw:g}mW_{scenarios._theta_tag(row.theta_rad)}_corrected"
+                stderr = band_power_stderr(result.spectra[key], row.analysis_mhz, width)
+                gap = 10.0 ** (row.mc_db / 10.0) - row.analytic_linear
+                assert abs(gap) <= 4.0 * stderr, (seed, row.quantity, gap / stderr)
 
 
 class TestRunScenario:
@@ -454,7 +599,7 @@ class TestSweep:
     def test_readout_sweep_propagates_once(self, name, parameter, values, propagations):
         cfg = get_scenario(name)
         records = sweep(cfg, parameter, values, mode="analytic")
-        assert propagations == [cfg.pump_sweep_mw[0]]
+        assert propagations == [name]
         for record, value in zip(records, values):
             field = "efficiency" if parameter == "hd_efficiency" else parameter
             hd = replace(cfg.hd, thetas_rad=(0.0, math.pi / 2), **{field: value})
@@ -464,6 +609,16 @@ class TestSweep:
             by_theta = {round(math.degrees(row.theta_rad)): row.analytic_db for row in rows}
             assert record["squeezed_db"] == by_theta[0]
             assert record["antisqueezed_db"] == by_theta[90]
+
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo", "both"])
+    @pytest.mark.parametrize(
+        "parameter, values",
+        [("pump_mw", [90.0, 270.0, 450.0]), ("delta_theta_rad", [0.0, 0.2]),
+         ("hd_efficiency", [0.5, 1.0])],
+    )
+    def test_every_axis_propagates_once(self, parameter, values, mode, propagations):
+        sweep(fast(get_scenario("fig5c")), parameter, values, mode=mode, seed=2)
+        assert propagations == ["fig5c"]
 
     def test_calibration_is_checked_only_in_the_band(self):
         # At 3 rounds and seed 1, 15 grid bins of fast(fig4a) have their

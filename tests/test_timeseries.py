@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sqztune.homodyne import symmetric_sideband_noise, undb
+from conftest import mc_target_psd
+from sqztune.homodyne import undb
 from sqztune import timeseries
-from sqztune.optics_components import OpoParams
+from sqztune.scenarios import HdSpec, ScenarioConfig, SourceSpec
 from sqztune.timeseries import (
     AcquisitionParams,
     _band_mask,
@@ -18,7 +19,6 @@ from sqztune.timeseries import (
     calibrate,
     estimate_spectrum,
     mean_power,
-    normalize_to_snl,
     periodogram,
     simulate_spectra,
     simulate_spectrum,
@@ -435,22 +435,20 @@ class TestCalibrate:
 
     def test_recovers_squeezed_branch_model(self):
         # band value at 1.55 MHz within 0.1 dB of the analytic -3.177 dB point
-        curve = symmetric_sideband_noise(OpoParams(450.0), 0.708, 0.0, np.deg2rad(6.0))
         acq = AcquisitionParams(
             sample_rate_msps=50.0, samples_per_round=50_000, rounds=200,
             band_center_mhz=1.55, band_width_mhz=0.1, rng_seed=8,
         )
-        est = simulate_spectrum(NoiseModel(curve, electronic_floor=0.0), acq)
+        cfg = ScenarioConfig(
+            name="direct-0.708",
+            description="source read out at overall efficiency 0.708",
+            chain=(SourceSpec(), HdSpec(0.0, (0.0,), (1.55,), np.deg2rad(6.0), 0.708)),
+            pump_sweep_mw=(450.0,),
+            acquisition=acq,
+        )
+        est = simulate_spectrum(NoiseModel(mc_target_psd(cfg, 0.0), electronic_floor=0.0), acq)
         got_db = 10 * np.log10(band_power(est, 1.55, 0.1))
         assert got_db == pytest.approx(-3.1773469774916565, abs=0.1)
-
-    def test_normalize_to_snl(self):
-        freqs = np.linspace(0, 25, 50)
-        signal = SpectrumEstimate(freqs, np.full(50, 0.55), np.zeros(50))
-        snl = SpectrumEstimate(freqs, np.full(50, 1.1), np.zeros(50))
-        out = normalize_to_snl(signal, snl)
-        assert np.allclose(out.psd, 0.5, atol=1e-12)
-        assert out.normalization == "snl_normalized"
 
 
 class TestCsv:
