@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-# Default label grid: detunings live on a 10 kHz lattice.
+# Label grid: detunings live on a 10 kHz lattice.
 GRID_HZ = 10_000
 
 # Numerical tolerances (absolute, on matrix entries / eigenvalues).
@@ -37,28 +37,27 @@ class ModeLabel:
         object.__setattr__(self, "detuning_hz", int(self.detuning_hz))
 
     @classmethod
-    def from_mhz(cls, detuning_mhz: float, grid_hz: int = GRID_HZ) -> "ModeLabel":
+    def from_mhz(cls, detuning_mhz: float) -> "ModeLabel":
         """Build a label from a detuning in MHz, snapping to the label grid.
 
         Raises ValueError if the value is farther than 1e-6 relative from a
         grid point; silent snapping would hide configuration typos.
         """
-        raw = detuning_mhz * 1e6 / grid_hz
+        raw = detuning_mhz * 1e6 / GRID_HZ
         steps = round(raw)
         if abs(raw - steps) > 1e-6 * max(1.0, abs(raw)):
             raise ValueError(
-                f"detuning {detuning_mhz} MHz is not on the {grid_hz / 1e3:g} kHz label grid"
+                f"detuning {detuning_mhz} MHz is not on the {GRID_HZ / 1e3:g} kHz label grid"
             )
-        return cls(steps * grid_hz)
+        return cls(steps * GRID_HZ)
 
     @property
     def mhz(self) -> float:
         return self.detuning_hz / 1e6
 
-    def shifted_mhz(self, delta_mhz: float, grid_hz: int = GRID_HZ) -> "ModeLabel":
+    def shifted_mhz(self, delta_mhz: float) -> "ModeLabel":
         """Label at this detuning plus ``delta_mhz`` (exact grid arithmetic)."""
-        other = ModeLabel.from_mhz(delta_mhz, grid_hz=grid_hz)
-        return ModeLabel(self.detuning_hz + other.detuning_hz)
+        return ModeLabel(self.detuning_hz + ModeLabel.from_mhz(delta_mhz).detuning_hz)
 
     def __repr__(self) -> str:
         return f"ModeLabel({self.mhz:+g} MHz)"

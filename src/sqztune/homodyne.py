@@ -5,8 +5,9 @@ A balanced detector with its local oscillator at ``lo`` and electronic
 analysis frequency ``nu`` reads out the sideband pair at lo +- nu.  The
 noise power in SNL units is the phase-weighted sum of the pair's symmetric
 and antisymmetric quadrature combinations; vacuum gives exactly 1.
-The detected pair of a chain's response gives the readout of any source
-through :meth:`DetectedPair.for_source`.
+The pair of a chain's response, detected at unit efficiency, gives the two
+gains through which any source's excess noise reads out
+(:meth:`DetectedPair.gains`).
 """
 
 from __future__ import annotations
@@ -121,21 +122,21 @@ class DetectedPair:
             vacuum_filled=self.vacuum_filled,
         )
 
-    def for_source(self, vs, va) -> DetectedPair:
-        """The pair of a source with squeezed / antisqueezed variances (vs, va),
-        this pair being the chain's response (its readout at vs = 2, va = 1).
+    def gains(self, theta_eff: float) -> tuple[float, float]:
+        """Gains (a, b) at the effective LO phase of this pair taken as a
+        chain's response (detected at unit efficiency from vs = 2, va = 1).
 
-        Gaussian channels are affine in the input covariance, and passive
-        elements commute with a global phase rotation: the excess vs - 1 reads
-        out as the response's, the excess va - 1 as the response turned by
-        pi/2 (plus and minus swapped, cross negated).  vs, va may be arrays.
+        Gaussian channels are affine in the input covariance and passive
+        elements commute with a global phase rotation, so a source (vs, va)
+        detected at efficiency eta reads 1 + eta ((vs - 1) a + (va - 1) b):
+        va - 1 reads out as the response turned by pi/2.
         """
+        ct, st = math.cos(theta_eff), math.sin(theta_eff)
         d_plus, d_minus = self.plus_variance - 1.0, self.minus_variance - 1.0
-        return DetectedPair(
-            1.0 + (vs - 1.0) * d_plus + (va - 1.0) * d_minus,
-            1.0 + (vs - 1.0) * d_minus + (va - 1.0) * d_plus,
-            (vs - va) * self.cross_term,
-            self.vacuum_filled,
+        sc = st * ct * self.cross_term
+        return (
+            d_plus + st * st * (d_minus - d_plus) + sc,
+            d_minus + st * st * (d_plus - d_minus) - sc,
         )
 
 

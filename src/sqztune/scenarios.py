@@ -4,9 +4,11 @@ parametric source to the homodyne detector, reference measurement values
 with tolerances, an analytic + Monte-Carlo runner, and parameter sweeps.
 
 Both paths read one pump-independent chain response (:func:`chain_response`),
-propagated once per run or sweep and reduced once per analysis band: the
-analytic rows evaluate it at the band-centre source variances, and the
-Monte-Carlo target spectrum at each grid bin's source variances.
+propagated once per run or sweep and detected once per analysis band.  The
+readout is linear in the source's excess noise: the homodyne noise is
+1 + eta ((vs - 1) a + (va - 1) b), with gains (a, b) per band and LO phase
+(:meth:`DetectedPair.gains`).  The analytic rows take it at the band-centre
+source excess, and the Monte-Carlo target spectrum at each grid bin's.
 
 Builtin scenarios (fig4a, fig4b, fig5a, fig5b, fig5c) reproduce the
 measured operating points: direct readout of the source state, the pump
@@ -28,7 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .gaussian_core import GaussianState, ModeLabel
-from .homodyne import DetectedPair, NoisePowerResult, db, detect_pair
+from .homodyne import DetectedPair, db, detect_pair
 from .optics_components import (
     SPLIT_NORM_TOL,
     AbiParams,
@@ -300,7 +302,7 @@ class ScenarioConfig:
         # values with one label would overwrite each other's spectra and rows.
         _check_distinct("pump_sweep_mw", self.pump_sweep_mw, "{:g}".format)
         _check_distinct("hd analysis_mhz", hd.analysis_mhz, "{:g}".format)
-        _check_distinct("hd thetas_rad", hd.thetas_rad, _theta_tag)
+        _check_distinct("hd thetas_rad", hd.thetas_rad, _phase_label)
 
     @property
     def source(self) -> SourceSpec:
@@ -378,11 +380,11 @@ REFERENCE_TABLE: tuple[ReferenceEntry, ...] = (
         "optimum measured squeezing across the pump sweep; found at 270 mW",
     ),
     ReferenceEntry(
-        "fig5a", "beat_db@78.45MHz@theta90", 4.34, 0.5,
+        "fig5a", "beat_db@450mW@78.45MHz@theta90", 4.34, 0.5,
         "beat noise of the tuned state with the carrier LO; lower analysis band",
     ),
     ReferenceEntry(
-        "fig5a", "beat_db@81.55MHz@theta90", 4.34, 0.5,
+        "fig5a", "beat_db@450mW@81.55MHz@theta90", 4.34, 0.5,
         "beat noise of the tuned state with the carrier LO; upper analysis band",
     ),
     ReferenceEntry(
@@ -466,6 +468,12 @@ def _theta_tag(theta: float) -> str:
     return f"theta{round(math.degrees(theta)):g}"
 
 
+def _phase_label(theta: float) -> str:
+    """The LO phase's tag modulo 180 degrees: the readout is pi-periodic in
+    the phase, so two phases with one label give the same rows."""
+    return f"theta{round(math.degrees(theta)) % 180:g} (mod 180)"
+
+
 def _quantity_name(symmetric: bool, pump: float, theta: float, analysis: float) -> str:
     if symmetric:
         if math.isclose(math.cos(theta) ** 2, 1.0, abs_tol=1e-12):
@@ -473,7 +481,7 @@ def _quantity_name(symmetric: bool, pump: float, theta: float, analysis: float) 
         if math.isclose(math.sin(theta) ** 2, 1.0, abs_tol=1e-12):
             return f"antisqueezing_db@{pump:g}mW"
         return f"noise_db@{pump:g}mW@{_theta_tag(theta)}"
-    return f"beat_db@{analysis:g}MHz@{_theta_tag(theta)}"
+    return f"beat_db@{pump:g}mW@{analysis:g}MHz@{_theta_tag(theta)}"
 
 
 def _opo_params(cfg: ScenarioConfig, pump: float) -> OpoParams:
@@ -524,67 +532,73 @@ def propagate_chain(cfg: ScenarioConfig, pump_mw: float) -> GaussianState:
 def chain_response(cfg: ScenarioConfig) -> GaussianState:
     """The source sideband pair with unit excess noise in its squeezed
     combinations (vs = 2, va = 1: covariance I + (I + K)/2) propagated through
-    every mid-chain element.  It holds no pump: its detected pair gives any
-    source's readout through :meth:`DetectedPair.for_source`."""
+    every mid-chain element.  It holds no pump: its pairs, detected at unit
+    efficiency, give the gains through which any source reads out
+    (:meth:`DetectedPair.gains`)."""
     return _propagate(cfg, sideband_pair_state(2.0, 1.0, cfg.source_detuning_mhz))
 
 
-def _detect(cfg: ScenarioConfig, response: GaussianState, analysis_mhz: float) -> DetectedPair:
-    hd = cfg.hd
-    return detect_pair(response, ModeLabel.from_mhz(hd.lo_offset_mhz), analysis_mhz, hd.efficiency)
+def _response_pairs(cfg: ScenarioConfig) -> list[DetectedPair]:
+    """The chain response's sideband pair of each analysis band, detected at
+    unit efficiency."""
+    response, lo = chain_response(cfg), ModeLabel.from_mhz(cfg.hd.lo_offset_mhz)
+    return [detect_pair(response, lo, analysis) for analysis in cfg.hd.analysis_mhz]
 
 
-def _source(cfg: ScenarioConfig, pump_mw: float):
-    """The source's (vs, va) as a function of detuning at this pump, escape
+def _source_excess(opo: OpoParams, detuning_mhz):
+    """The source's excess noise (vs - 1, va - 1) at these detunings, escape
     efficiency folded in as in :func:`opo_sideband_state`."""
-    opo = _opo_params(cfg, pump_mw)
-    return lambda detuning_mhz: opo_variances(opo, detuning_mhz, opo.escape_efficiency)
+    vs, va = opo_variances(opo, detuning_mhz, opo.escape_efficiency)
+    return vs - 1.0, va - 1.0
 
 
-def analytic_noise(cfg: ScenarioConfig, pump_mw: float, theta: float, analysis_mhz: float) -> NoisePowerResult:
-    """Analytic noise power for one (pump, phase, analysis frequency) point:
-    the chain response read at the band-centre source variances, equal to
-    ``hd_noise_power`` of :func:`propagate_chain` up to rounding."""
-    pair = _detect(cfg, chain_response(cfg), analysis_mhz)
-    readout = pair.for_source(*_source(cfg, pump_mw)(cfg.source_detuning_mhz))
-    return readout.noise_power(theta + cfg.hd.delta_theta_rad)
+def _readout(excess, gains, eta):
+    """Homodyne noise 1 + eta ((vs - 1) a + (va - 1) b) of the source excess
+    (vs - 1, va - 1) through the gains (a, b) at detection efficiency eta;
+    scalars or arrays."""
+    (xs, xa), (a, b) = excess, gains
+    return 1.0 + eta * (xs * a + xa * b)
 
 
-def _mc_psd(cfg: ScenarioConfig, pairs: Sequence[DetectedPair], source, theta: float):
-    """Optical target PSD of one (pump, LO phase) over grid frequencies nu >= 0.
+def analytic_noise(cfg: ScenarioConfig, pump_mw: float, theta: float, analysis_mhz: float) -> float:
+    """Analytic noise power in SNL units at one (pump, phase, analysis
+    frequency) point: the chain response's gains read at the band-centre
+    source excess, equal to ``hd_noise_power`` of :func:`propagate_chain` up
+    to rounding."""
+    hd = cfg.hd
+    pair = detect_pair(chain_response(cfg), ModeLabel.from_mhz(hd.lo_offset_mhz), analysis_mhz)
+    excess = _source_excess(_opo_params(cfg, pump_mw), cfg.source_detuning_mhz)
+    return _readout(excess, pair.gains(theta + hd.delta_theta_rad), hd.efficiency)
+
+
+def _mc_targets(cfg: ScenarioConfig, opo: OpoParams, gains, eta: float, freqs) -> list:
+    """Optical target PSD at grid frequencies nu >= 0 for each LO phase's
+    gains (``gains[i][j]``: phase i, analysis band j).
 
     Bin nu reads the source at its detuning min(|lo + nu - s|, |lo - nu - s|)
-    = |nu - |lo - s|| (s: the net tuner shift) through the detected response
-    pair of its nearest analysis band (``pairs``, in ``analysis_mhz`` order),
-    weighted per LO phase as the analytic rows are.
+    = |nu - |lo - s|| (s: the net tuner shift) through the gains of its
+    nearest analysis band.  The source excess is evaluated once for every
+    phase.
     """
     hd = cfg.hd
-    offset = abs(hd.lo_offset_mhz - cfg.total_shift_mhz)
+    excess = _source_excess(opo, np.abs(freqs - abs(hd.lo_offset_mhz - cfg.total_shift_mhz)))
     order = np.argsort(hd.analysis_mhz)
     centres = np.array(hd.analysis_mhz)[order]
-    edges = (centres[:-1] + centres[1:]) / 2.0
-    pairs = [pairs[i] for i in order]
-    theta_eff = theta + hd.delta_theta_rad
-
-    def psd(freqs):
-        vs, va = source(np.abs(freqs - offset))
-        powers = [pair.for_source(vs, va).power(theta_eff) for pair in pairs]
-        return np.choose(np.searchsorted(edges, freqs), powers)
-
-    return psd
-
-
-def _flat_psd(level: float):
-    def psd(freqs):
-        return np.full(np.shape(freqs), level)
-
-    return psd
+    band = order[np.searchsorted((centres[:-1] + centres[1:]) / 2.0, freqs)]
+    return [np.choose(band, [_readout(excess, g, eta) for g in row]) for row in gains]
 
 
 # Stream ids keep every synthesized trace of a run statistically independent.
 _SNL_STREAM = 1
 _ELECTRONIC_STREAM = 2
 _SIGNAL_STREAM_BASE = 1000
+
+
+def _mode(cfg: ScenarioConfig, mode: str | None) -> str:
+    mode = cfg.mode if mode is None else mode
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    return mode
 
 
 def _acquisition(cfg: ScenarioConfig, seed: int | None) -> AcquisitionParams:
@@ -605,7 +619,7 @@ def _analysis_bins(cfg: ScenarioConfig, acq: AcquisitionParams) -> slice:
 def _noise_spectra(
     cfg: ScenarioConfig, acq: AcquisitionParams, bins: slice
 ) -> dict[str, SpectrumEstimate]:
-    snl_model = NoiseModel(_flat_psd(1.0), cfg.electronic_floor, ())
+    snl_model = NoiseModel(np.ones_like, cfg.electronic_floor, ())
     elec_model = NoiseModel(None, cfg.electronic_floor, ())
     return {
         "snl": simulate_spectrum(snl_model, acq, stream=_SNL_STREAM, bins=bins),
@@ -613,96 +627,82 @@ def _noise_spectra(
     }
 
 
-def run_scenario(
-    cfg: ScenarioConfig,
-    mode: str | None = None,
-    seed: int | None = None,
-    *,
-    noise: dict[str, SpectrumEstimate] | None = None,
-    bands_only: bool = False,
-    state: GaussianState | None = None,
-) -> ScenarioResult:
-    """Execute a scenario: analytic values, optional Monte-Carlo spectra,
-    and pass/fail against the reference table.
+def _evaluate(cfg: ScenarioConfig, pairs: Sequence[DetectedPair], pump: float,
+              thetas: Sequence[float], delta_theta: float, eta: float, analytic: bool, mc=None):
+    """(values, spectra) of one pump point at the LO phases ``thetas``, lock
+    offset ``delta_theta`` and detection efficiency ``eta``, read through
+    :func:`_response_pairs`.  values[i][j] is the analytic noise at thetas[i]
+    in band j (None unless ``analytic``).  ``mc`` is None or (acq, noise,
+    bins, stream), noise being the 'snl' and 'electronic' spectra over grid
+    bins ``bins``; spectra[i] is then the (raw, corrected) estimate at
+    thetas[i] over those bins.
+    """
+    opo = _opo_params(cfg, pump)  # checked on every path
+    gains = [[pair.gains(theta + delta_theta) for pair in pairs] for theta in thetas]
+    values = spectra = None
+    if analytic:
+        centre = _source_excess(opo, cfg.source_detuning_mhz)
+        values = [[_readout(centre, g, eta) for g in row] for row in gains]
+    if mc is not None:
+        acq, noise, bins, stream = mc
+        # Each target is tabulated on the noise spectra's bins, which are the
+        # bins simulate_spectra reads.
+        targets = _mc_targets(cfg, opo, gains, eta, noise["snl"].freqs_mhz)
+        models = [
+            NoiseModel(lambda freqs, target=target: target, cfg.electronic_floor,
+                       cfg.interference_tones)
+            for target in targets
+        ]
+        # Common random numbers across the LO phases of one pump point: phase
+        # comparisons then reflect the model, not draw-to-draw scatter.
+        spectra = []
+        for raw in simulate_spectra(models, acq, stream=stream, bins=bins):
+            try:
+                spectra.append((raw, calibrate(raw, noise["snl"], noise["electronic"])))
+            except ValueError as exc:
+                raise ConfigError(f"{exc} at {acq.rounds} rounds; raise acquisition.rounds") from None
+    return values, spectra
 
-    ``noise`` passes in the 'snl' and 'electronic' spectra of this
-    acquisition, seed and electronic floor, which :func:`sweep` simulates once
-    for all of its values; when None, they are simulated here.
 
-    With ``bands_only`` the Monte-Carlo spectra cover only the grid bins of
-    the analysis bands (:func:`band_slice`), so calibration checks only
-    those bins and ``spectra`` stays empty; the rows are the same bit for
-    bit.  By default every spectrum covers the whole grid and is returned.
+def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None = None) -> ScenarioResult:
+    """Execute a scenario: analytic values, optional Monte-Carlo spectra over
+    the whole grid, and pass/fail against the reference table.
 
     The chain is propagated once, as its response (:func:`chain_response`),
-    and reduced once per analysis band.  The analytic values read those pairs
-    at the band-centre source variances (they equal :func:`analytic_noise`),
-    the Monte-Carlo targets at each grid bin's.  ``state`` passes in the
-    response, which :func:`sweep` computes once for all of its values.
+    and detected once per analysis band; each pump is one :func:`_evaluate`
+    call.  The analytic values equal :func:`analytic_noise`.
     """
-    mode = cfg.mode if mode is None else mode
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    mode = _mode(cfg, mode)
     acq = _acquisition(cfg, seed)
-    want_analytic = mode in ("analytic", "both")
-    want_mc = mode in ("montecarlo", "both")
-
-    mc_pumps = cfg.pump_sweep_mw if cfg.mc_pump_mw is None else cfg.mc_pump_mw
     hd = cfg.hd
     thetas, bands = hd.thetas_rad, hd.analysis_mhz
     symmetric = [cfg.is_symmetric(analysis) for analysis in bands]
-    response = chain_response(cfg) if state is None else state
-    pairs = [_detect(cfg, response, analysis) for analysis in bands]
+    pairs = _response_pairs(cfg)
+    mc_pumps = cfg.pump_sweep_mw if cfg.mc_pump_mw is None else cfg.mc_pump_mw
     spectra: dict[str, SpectrumEstimate] = {}
-    if want_mc:
-        band_bins = _analysis_bins(cfg, acq)  # checked on both paths
-        bins = band_bins if bands_only else slice(None)
-        noise = _noise_spectra(cfg, acq, bins) if noise is None else noise
-        if not bands_only:
-            spectra.update(noise)
+    if mode != "analytic":
+        _analysis_bins(cfg, acq)  # a band with no grid bin is a ConfigError here too
+        noise = _noise_spectra(cfg, acq, slice(None))
+        spectra.update(noise)
 
     rows: list[ResultRow] = []
     for pump_index, pump in enumerate(cfg.pump_sweep_mw):
-        source = _source(cfg, pump)
-        corrected = [None] * len(thetas)
-        if want_mc and pump in mc_pumps:
-            models = [
-                NoiseModel(_mc_psd(cfg, pairs, source, theta), cfg.electronic_floor,
-                           cfg.interference_tones)
-                for theta in thetas
-            ]
-            # Common random numbers across LO phases of one pump point: phase
-            # comparisons then reflect the model, not draw-to-draw scatter.
+        mc = None
+        if mode != "analytic" and pump in mc_pumps:
             # Streams stay independent across pumps and traces.
-            estimates = simulate_spectra(
-                models, acq, stream=_SIGNAL_STREAM_BASE + pump_index, bins=bins
-            )
-            for i, (theta, signal_est) in enumerate(zip(thetas, estimates)):
-                try:
-                    corrected[i] = calibrate(signal_est, noise["snl"], noise["electronic"])
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{exc} at {acq.rounds} rounds; raise acquisition.rounds"
-                    ) from None
-                if not bands_only:
-                    key = f"pump{pump:g}mW_{_theta_tag(theta)}"
-                    spectra[f"{key}_raw"] = signal_est
-                    spectra[f"{key}_corrected"] = corrected[i]
-
-        readouts = [None] * len(bands)
-        if want_analytic:
-            band_centre = source(cfg.source_detuning_mhz)
-            readouts = [pair.for_source(*band_centre) for pair in pairs]
-
-        for theta, corrected_est in zip(thetas, corrected):
-            for analysis, readout, sym in zip(bands, readouts, symmetric):
-                analytic_linear = analytic_db = None
-                if readout is not None:
-                    result = readout.noise_power(theta + hd.delta_theta_rad)
-                    analytic_linear, analytic_db = result.value, result.value_db
+            mc = (acq, noise, slice(None), _SIGNAL_STREAM_BASE + pump_index)
+        values, estimates = _evaluate(cfg, pairs, pump, thetas, hd.delta_theta_rad,
+                                      hd.efficiency, mode != "montecarlo", mc)
+        for i, theta in enumerate(thetas):
+            if estimates is not None:
+                key = f"pump{pump:g}mW_{_theta_tag(theta)}"
+                spectra[f"{key}_raw"], spectra[f"{key}_corrected"] = estimates[i]
+            for j, (analysis, sym) in enumerate(zip(bands, symmetric)):
+                analytic_linear = None if values is None else values[i][j]
+                analytic_db = None if values is None else db(analytic_linear)
                 mc_db = None
-                if corrected_est is not None:
-                    mc_db = db(band_power(corrected_est, analysis, acq.band_width_mhz))
+                if estimates is not None:
+                    mc_db = db(band_power(estimates[i][1], analysis, acq.band_width_mhz))
                 quantity = _quantity_name(sym, pump, theta, analysis)
                 ref = _REFERENCE_INDEX.get((cfg.name, quantity))
                 passed = None
@@ -758,11 +758,6 @@ def summary_csv(result: ScenarioResult) -> str:
 SWEEP_PARAMETERS = ("pump_mw", "delta_theta_rad", "hd_efficiency")
 
 
-def _with_hd(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
-    chain = cfg.chain[:-1] + (replace(cfg.hd, **changes),)
-    return replace(cfg, chain=chain)
-
-
 def sweep(
     cfg: ScenarioConfig,
     parameter: str,
@@ -773,64 +768,58 @@ def sweep(
     """Run the scenario across one parameter axis.
 
     Returns one record per value with the squeezed (theta = 0) and
-    antisqueezed (theta = pi/2) noise in dB; Monte-Carlo columns are filled
-    when the effective mode includes it.  Monte-Carlo spectra cover only the
-    analysis band's bins (``run_scenario(..., bands_only=True)``).
+    antisqueezed (theta = pi/2) noise in dB in the first analysis band;
+    Monte-Carlo columns are filled when the effective mode includes it.
+    Each value is one :func:`_evaluate` call at the first pump, lock offset
+    and detection efficiency of ``cfg``, one of them swept, and is checked
+    as the config field it stands for.  No axis changes the chain and
+    detection efficiency enters only the readout, so the response is
+    propagated and detected once.  Monte-Carlo spectra, the noise spectra
+    simulated once, cover only the analysis bands' bins.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMETERS}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    if not cfg.is_symmetric(cfg.hd.analysis_mhz[0]):
+    hd = cfg.hd
+    if not cfg.is_symmetric(hd.analysis_mhz[0]):
         raise ConfigError("sweep supports scenarios with the LO matched to the state")
-    mode = cfg.mode if mode is None else mode
-    # No axis changes the mid-chain elements, so every value reads one
-    # chain response.
-    response = chain_response(cfg)
-    # Every value shares the acquisition, seed and electronic floor, so the
-    # noise spectra are simulated once per sweep.
-    noise = None
-    if mode in ("montecarlo", "both"):
-        acq = _acquisition(cfg, seed)
-        noise = _noise_spectra(cfg, acq, _analysis_bins(cfg, acq))
+    mode = _mode(cfg, mode)
+    acq = _acquisition(cfg, seed)  # the seed is checked in every mode, as run_scenario does
+    pairs = _response_pairs(cfg)
+    mc = None
+    if mode != "analytic":
+        bins = _analysis_bins(cfg, acq)
+        mc = (acq, _noise_spectra(cfg, acq, bins), bins, _SIGNAL_STREAM_BASE)
 
-    # One replace: every ScenarioConfig built runs the whole validation again.
-    base = replace(
-        cfg,
-        chain=cfg.chain[:-1] + (replace(cfg.hd, thetas_rad=(0.0, math.pi / 2)),),
-        pump_sweep_mw=(cfg.pump_sweep_mw[0],),
-        mc_pump_mw=None,
-    )
     records = []
     for value in values:
+        value = float(value)
+        pump, delta_theta, eta = cfg.pump_sweep_mw[0], hd.delta_theta_rad, hd.efficiency
         if parameter == "pump_mw":
-            variant = replace(base, pump_sweep_mw=(float(value),))
+            _check_real("scenario", "pump_sweep_mw", value, 0.0)
+            pump = value
         elif parameter == "delta_theta_rad":
-            variant = _with_hd(base, delta_theta_rad=float(value))
+            _check_real("hd", "delta_theta_rad", value)
+            delta_theta = value
         else:
-            variant = _with_hd(base, efficiency=float(value))
-        result = run_scenario(
-            variant, mode=mode, seed=seed, noise=noise, bands_only=True, state=response
-        )
-        first_band = variant.hd.analysis_mhz[0]
-        by_theta = {
-            round(math.degrees(r.theta_rad)): r
-            for r in result.rows
-            if r.analysis_mhz == first_band
-        }
-        squeezed, antisqueezed = by_theta[0], by_theta[90]
+            _check_real("hd", "efficiency", value, 0.0, 1.0)
+            eta = value
+        analytic, estimates = _evaluate(cfg, pairs, pump, (0.0, math.pi / 2), delta_theta, eta,
+                                        mode != "montecarlo", mc)
+        mc_db = None
+        if estimates is not None:
+            mc_db = [db(band_power(corrected, hd.analysis_mhz[0], acq.band_width_mhz))
+                     for _, corrected in estimates]
+        squeezed, antisqueezed = mc_db if analytic is None else [db(row[0]) for row in analytic]
         record = {
             "parameter": parameter,
-            "value": float(value),
-            "squeezed_db": squeezed.analytic_db,
-            "antisqueezed_db": antisqueezed.analytic_db,
+            "value": value,
+            "squeezed_db": squeezed,
+            "antisqueezed_db": antisqueezed,
         }
-        if mode in ("montecarlo", "both"):
-            record["squeezed_mc_db"] = squeezed.mc_db
-            record["antisqueezed_mc_db"] = antisqueezed.mc_db
-        if mode == "montecarlo":
-            record["squeezed_db"] = squeezed.mc_db
-            record["antisqueezed_db"] = antisqueezed.mc_db
+        if mc_db is not None:
+            record["squeezed_mc_db"], record["antisqueezed_mc_db"] = mc_db
         records.append(record)
     return records
 

@@ -290,7 +290,7 @@ class SpectrumEstimate:
 
     ``psd`` holds the two-sided density values on the non-negative grid;
     ``stderr`` is the per-bin standard error over rounds.  ``normalization``
-    is one of 'raw', 'snl_normalized', 'corrected'.
+    is 'raw' or 'corrected'.
     """
 
     freqs_mhz: NDArray[np.float64]
@@ -523,16 +523,18 @@ def _require_common_grid(*spectra: SpectrumEstimate) -> None:
             raise ValueError("spectra must share an identical frequency grid")
 
 
+_CLIP_FLOOR = 1e-15
+
+
 def calibrate(
     signal: SpectrumEstimate,
     snl: SpectrumEstimate,
     electronic: SpectrumEstimate,
-    clip_floor: float = 1e-15,
 ) -> SpectrumEstimate:
     """Electronic-noise-corrected, SNL-normalized spectrum.
 
     corrected = (signal - electronic) / (snl - electronic), bin-wise.  Bins
-    where the corrected value is not above ``clip_floor`` are clipped to it
+    where the corrected value is not above ``_CLIP_FLOOR`` are clipped to it
     and the estimate is flagged ``clipped`` (their dB value would diverge).
     """
     _require_common_grid(signal, snl, electronic)
@@ -548,8 +550,8 @@ def calibrate(
     numer_err = np.sqrt(signal.stderr**2 + electronic.stderr**2)
     denom_err = np.sqrt(snl.stderr**2 + electronic.stderr**2)
     stderr = np.sqrt((numer_err / denom) ** 2 + (numer * denom_err / denom**2) ** 2)
-    clipped = bool(np.any(corrected <= clip_floor))
-    corrected = np.maximum(corrected, clip_floor)
+    clipped = bool(np.any(corrected <= _CLIP_FLOOR))
+    corrected = np.maximum(corrected, _CLIP_FLOOR)
     return SpectrumEstimate(
         signal.freqs_mhz, corrected, stderr, normalization="corrected", clipped=clipped
     )
@@ -623,7 +625,7 @@ def spectrum_to_csv(spec: SpectrumEstimate) -> str:
     return out.getvalue()
 
 
-def spectrum_from_csv(text: str, normalization: str = "raw") -> SpectrumEstimate:
+def spectrum_from_csv(text: str) -> SpectrumEstimate:
     """Parse a spectrum CSV such as :func:`spectrum_to_csv` writes.
 
     Columns are found by header name, in any order, and other columns are
@@ -648,4 +650,4 @@ def spectrum_from_csv(text: str, normalization: str = "raw") -> SpectrumEstimate
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
     freqs, psd, stderr = (np.array(values, dtype=float) for values in columns)
-    return SpectrumEstimate(freqs, psd, stderr, normalization=normalization)
+    return SpectrumEstimate(freqs, psd, stderr)

@@ -65,8 +65,11 @@ def random_chain_state(rng: np.random.Generator) -> GaussianState:
 
 def mc_target_psd(cfg: scenarios.ScenarioConfig, theta: float, pump: float | None = None):
     """The optical Monte-Carlo target PSD run_scenario builds for ``cfg`` at
-    LO phase ``theta`` and ``pump`` (default: the first pump)."""
+    LO phase ``theta`` and ``pump`` (default: the first pump), as a function
+    of grid frequency."""
     pump = cfg.pump_sweep_mw[0] if pump is None else pump
-    response = scenarios.chain_response(cfg)
-    pairs = [scenarios._detect(cfg, response, analysis) for analysis in cfg.hd.analysis_mhz]
-    return scenarios._mc_psd(cfg, pairs, scenarios._source(cfg, pump), theta)
+    hd = cfg.hd
+    pairs = scenarios._response_pairs(cfg)
+    gains = [[pair.gains(theta + hd.delta_theta_rad) for pair in pairs]]
+    opo = scenarios._opo_params(cfg, pump)
+    return lambda freqs: scenarios._mc_targets(cfg, opo, gains, hd.efficiency, freqs)[0]

@@ -127,10 +127,10 @@ def test_criterion_5_beat_note_prediction(full_runs):
     )
 
     rows = {row.quantity: row for row in full_runs["fig5a"].rows}
-    hi_90 = rows["beat_db@81.55MHz@theta90"].mc_db
-    lo_90 = rows["beat_db@78.45MHz@theta90"].mc_db
-    hi_0 = rows["beat_db@81.55MHz@theta0"].mc_db
-    lo_0 = rows["beat_db@78.45MHz@theta0"].mc_db
+    hi_90 = rows["beat_db@450mW@81.55MHz@theta90"].mc_db
+    lo_90 = rows["beat_db@450mW@78.45MHz@theta90"].mc_db
+    hi_0 = rows["beat_db@450mW@81.55MHz@theta0"].mc_db
+    lo_0 = rows["beat_db@450mW@78.45MHz@theta0"].mc_db
     band_gap = abs(hi_90 - lo_90)
     phase_gap = max(abs(hi_90 - hi_0), abs(lo_90 - lo_0))
     ok = ok_theory and band_gap <= 0.1 and phase_gap <= 0.05

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -216,10 +217,11 @@ class TestRun:
             ("fig4b", ("pump_sweep_mw",), [90.0, 270.0, 90.0000001], "90.0 and 90.0000001"),
             ("fig4a", ("chain", -1, "thetas_rad"), [0.0, 0.004], "0.0 and 0.004"),
             ("fig4a", ("chain", -1, "thetas_rad"), [0.0, 0.0], "0.0 and 0.0"),
+            ("fig4a", ("chain", -1, "thetas_rad"), [0.0, math.pi], f"0.0 and {math.pi!r}"),
             ("fig4a", ("chain", -1, "analysis_mhz"), [1.55, 1.55], "1.55 and 1.55"),
             ("fig5a", ("chain", -1, "analysis_mhz"), [78.45, 81.55, 78.4500001], "78.45 and 78.4500001"),
         ],
-        ids=["pump-twice", "pump-same-label", "theta-same-degree", "theta-twice",
+        ids=["pump-twice", "pump-same-label", "theta-same-degree", "theta-twice", "theta-mod-pi",
              "analysis-twice", "analysis-same-label"],
     )
     def test_colliding_output_labels_exit_2(self, tmp_path, capsys, builtin, path, value, named):
@@ -237,6 +239,24 @@ class TestRun:
         assert "share the output label" in err and named in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_beat_rows_carry_the_pump(self, tmp_path, capsys):
+        # Only the 450 mW beat rows have reference values; the 90 mW rows
+        # used to share their names and fail the check.
+        data = scenario_to_dict(get_scenario("fig5a"))
+        data["pump_sweep_mw"] = [450, 90]
+        config = tmp_path / "fig5a.json"
+        config.write_text(json.dumps(data))
+        assert main(["run", str(config), "--mode", "analytic", "--format", "json",
+                     "--out", str(tmp_path / "out")]) == 0
+        rows = json.loads((tmp_path / "out" / "fig5a_summary.json").read_text())["rows"]
+        names = [row["quantity"] for row in rows]
+        assert len(set(names)) == len(names) == 8
+        checked = [row for row in rows if row["passed"] is not None]
+        assert {row["quantity"] for row in checked} == {
+            "beat_db@450mW@81.55MHz@theta90", "beat_db@450mW@78.45MHz@theta90"
+        }
+        assert all(row["passed"] and row["pump_mw"] == 450 for row in checked)
 
     @pytest.mark.parametrize("builtin, mc_pumps", [("fig4b", [270.0]), ("fig4a", [])])
     def test_montecarlo_summary_leaves_rows_without_value_empty(
@@ -322,8 +342,27 @@ class TestSweep:
         assert "in 1 bins" in err and "at 2 rounds; raise acquisition.rounds" in err
         assert "Traceback" not in err
 
-    def test_bad_values_exit_2(self, capsys):
-        assert main(["sweep", "fig4b", "--param", "pump_mw", "--values", "ten,20"]) == 2
+    @pytest.mark.parametrize(
+        "param, value, message",
+        [
+            ("pump_mw", "ten,20", "--values must be a comma-separated number list, got 'ten,20'"),
+            ("pump_mw", "nan", "scenario pump_sweep_mw must be a finite number in [0, inf], got nan"),
+            ("pump_mw", "inf", "scenario pump_sweep_mw must be a finite number in [0, inf], got inf"),
+            ("pump_mw", "-1", "scenario pump_sweep_mw must be a finite number in [0, inf], got -1.0"),
+            ("pump_mw", "980", "pump 980.0 mW is at or above threshold 980.0 mW"),
+            ("hd_efficiency", "1.5", "hd efficiency must be a finite number in [0, 1], got 1.5"),
+            ("hd_efficiency", "-0.1", "hd efficiency must be a finite number in [0, 1], got -0.1"),
+            ("hd_efficiency", "nan", "hd efficiency must be a finite number in [0, 1], got nan"),
+            ("delta_theta_rad", "inf", "hd delta_theta_rad must be a finite number, got inf"),
+            ("delta_theta_rad", "nan", "hd delta_theta_rad must be a finite number, got nan"),
+        ],
+    )
+    def test_bad_values_exit_2(self, capsys, param, value, message):
+        assert main(["sweep", "fig4b", "--param", param, "--values", value]) == 2
+        captured = capsys.readouterr()
+        assert f"configuration error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_bad_param_exit_2(self, capsys):
         assert main(["sweep", "fig4b", "--param", "lo_power", "--values", "1"]) == 2

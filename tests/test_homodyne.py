@@ -27,6 +27,7 @@ from sqztune.optics_components import (
     apply_uniform_loss,
     opo_sideband_state,
     opo_variances,
+    sideband_pair_state,
 )
 
 CARRIER = ModeLabel(0)
@@ -224,6 +225,17 @@ class TestDetectedPair:
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             detect_pair(vacuum_state([CARRIER]), CARRIER, -1.0)
+
+    def test_gains_of_the_bare_source_pair(self):
+        # The response of an empty chain is the source pair itself (vs = 2,
+        # va = 1): the excess vs - 1 reads at theta = 0, va - 1 at pi/2.
+        pair = detect_pair(sideband_pair_state(2.0, 1.0, 1.55), CARRIER, 1.55)
+        assert pair.gains(0.0) == (1.0, 0.0)
+        a, b = pair.gains(np.pi / 2)
+        assert (a, b) == pytest.approx((0.0, 1.0), abs=1e-15)
+        a, b = pair.gains(0.3)
+        assert a + b == pytest.approx(1.0, rel=1e-15)
+        assert a == pytest.approx(np.cos(0.3) ** 2, rel=1e-15)
 
 
 class TestEffectiveSqueezing:

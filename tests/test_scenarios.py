@@ -7,7 +7,7 @@ import pytest
 from conftest import mc_target_psd
 from sqztune import scenarios
 from sqztune.gaussian_core import ModeLabel
-from sqztune.homodyne import HdConfig, hd_noise_power
+from sqztune.homodyne import HdConfig, db, hd_noise_power
 from sqztune.scenarios import (
     BUILTIN_SCENARIOS,
     REFERENCE_TABLE,
@@ -120,11 +120,11 @@ class TestBuiltins:
     def test_fig5a_beat_bands_match_analytically(self):
         result = run_scenario(get_scenario("fig5a"), mode="analytic")
         values = {row.quantity: row.analytic_db for row in result.rows}
-        assert values["beat_db@81.55MHz@theta90"] == pytest.approx(
-            values["beat_db@78.45MHz@theta90"], abs=1e-9
+        assert values["beat_db@450mW@81.55MHz@theta90"] == pytest.approx(
+            values["beat_db@450mW@78.45MHz@theta90"], abs=1e-9
         )
-        assert values["beat_db@81.55MHz@theta0"] == pytest.approx(
-            values["beat_db@81.55MHz@theta90"], abs=1e-9
+        assert values["beat_db@450mW@81.55MHz@theta0"] == pytest.approx(
+            values["beat_db@450mW@81.55MHz@theta90"], abs=1e-9
         )
 
     def test_tuned_chain_efficiency_product(self):
@@ -265,7 +265,7 @@ class TestAnalyticReadout:
         assert len(rows) == len(cfg.pump_sweep_mw) * len(hd.thetas_rad) * len(hd.analysis_mhz)
         for row in rows:
             point = analytic_noise(cfg, row.pump_mw, row.theta_rad, row.analysis_mhz)
-            assert (row.analytic_linear, row.analytic_db) == (point.value, point.value_db)
+            assert (row.analytic_linear, row.analytic_db) == (point, db(point))
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
     def test_builtin_rows_equal_per_point_readout(self, name, propagations):
@@ -284,12 +284,6 @@ class TestAnalyticReadout:
         self.assert_rows_equal_per_point(
             replace(cfg, chain=chain, pump_sweep_mw=(270.0, 450.0)), propagations
         )
-
-    def test_passed_response_serves_every_pump(self, propagations):
-        cfg = get_scenario("fig4b")
-        rows = run_scenario(cfg, mode="analytic", state=chain_response(cfg)).rows
-        assert propagations == ["fig4b"]  # the chain_response call
-        assert rows == run_scenario(cfg, mode="analytic").rows
 
     @pytest.mark.parametrize("mode", ["analytic", "montecarlo", "both"])
     def test_one_propagation_per_run(self, mode, propagations):
@@ -480,14 +474,18 @@ class TestRunScenario:
         assert result.spectra["pump450mW_theta0_corrected"].normalization == "corrected"
 
     @pytest.mark.parametrize("rounds", [16, 200])
-    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    @pytest.mark.parametrize("name", ["fig4a", "fig4b", "fig5b", "fig5c"])
     def test_band_path_rows_equal_whole_grid_rows(self, name, rounds):
+        # A sweep reads only the analysis bands' bins; fig5a is not swept.
         cfg = get_scenario(name)
-        cfg = replace(cfg, acquisition=replace(cfg.acquisition, rounds=rounds))
+        pump = (cfg.mc_pump_mw or cfg.pump_sweep_mw)[0]
+        cfg = replace(cfg, acquisition=replace(cfg.acquisition, rounds=rounds),
+                      pump_sweep_mw=(pump,), mc_pump_mw=None)
         whole = run_scenario(cfg, mode="montecarlo", seed=13)
-        bands = run_scenario(cfg, mode="montecarlo", seed=13, bands_only=True)
-        assert [row.mc_db for row in bands.rows] == [row.mc_db for row in whole.rows]
-        assert bands.spectra == {}
+        (bands,) = sweep(cfg, "pump_mw", [pump], mode="montecarlo", seed=13)
+        assert [bands["squeezed_mc_db"], bands["antisqueezed_mc_db"]] == [
+            row.mc_db for row in whole.rows
+        ]
 
     @pytest.mark.parametrize(
         "analysis, tones",
@@ -500,14 +498,17 @@ class TestRunScenario:
                                  interference_tones=tones))
         assert (band_slice(cfg.acquisition, (analysis,)).start == 0) == (analysis < 0.2)
         whole = run_scenario(cfg, mode="montecarlo", seed=4)
-        bands = run_scenario(cfg, mode="montecarlo", seed=4, bands_only=True)
-        assert [row.mc_db for row in bands.rows] == [row.mc_db for row in whole.rows]
+        (bands,) = sweep(cfg, "pump_mw", [450.0], mode="montecarlo", seed=4)
+        assert [bands["squeezed_mc_db"], bands["antisqueezed_mc_db"]] == [
+            row.mc_db for row in whole.rows
+        ]
 
     def test_band_without_grid_bins_is_a_config_error(self):
         cfg = fast(get_scenario("fig4a"), band_width_mhz=1e-6)
-        for bands_only in (False, True):
-            with pytest.raises(ConfigError, match="no spectrum bins"):
-                run_scenario(cfg, mode="montecarlo", seed=1, bands_only=bands_only)
+        with pytest.raises(ConfigError, match="no spectrum bins"):
+            run_scenario(cfg, mode="montecarlo", seed=1)
+        with pytest.raises(ConfigError, match="no spectrum bins"):
+            sweep(cfg, "pump_mw", [450.0], mode="montecarlo", seed=1)
         assert run_scenario(cfg, mode="analytic").rows
 
     def test_too_few_rounds_is_a_config_error(self):
@@ -571,7 +572,8 @@ class TestSweep:
     @pytest.mark.parametrize(
         "name, parameter, values",
         [("fig4b", "pump_mw", [180.0, 612.5]), ("fig5c", "hd_efficiency", [0.7, 0.95]),
-         ("fig4a", "hd_efficiency", [0.5, 0.888]), ("fig5b", "pump_mw", [270.0, 450.0])],
+         ("fig4a", "hd_efficiency", [0.5, 0.888]), ("fig5b", "pump_mw", [270.0, 450.0]),
+         ("fig5c", "delta_theta_rad", [-0.2, 0.1047])],
     )
     def test_mc_columns_match_single_point_runs(self, name, parameter, values):
         # The sweep simulates its noise spectra once, over the analysis band's
@@ -584,7 +586,8 @@ class TestSweep:
             if parameter == "pump_mw":
                 variant = replace(variant, pump_sweep_mw=(value,))
             else:
-                hd = replace(variant.hd, efficiency=value)
+                field = "efficiency" if parameter == "hd_efficiency" else parameter
+                hd = replace(variant.hd, **{field: value})
                 variant = replace(variant, chain=variant.chain[:-1] + (hd,))
             rows = run_scenario(variant, mode="both", seed=7).rows
             by_theta = {round(math.degrees(row.theta_rad)): row.mc_db for row in rows}
@@ -594,17 +597,20 @@ class TestSweep:
     @pytest.mark.parametrize("name", ["fig4b", "fig5c"])
     @pytest.mark.parametrize(
         "parameter, values",
-        [("delta_theta_rad", [-0.2, 0.0, 0.1047]), ("hd_efficiency", [0.5, 0.888, 1.0])],
+        [("pump_mw", [90.0, 612.5, 0.0]), ("delta_theta_rad", [-0.2, 0.0, 0.1047]),
+         ("hd_efficiency", [0.5, 0.888, 1.0])],
     )
     def test_readout_sweep_propagates_once(self, name, parameter, values, propagations):
         cfg = get_scenario(name)
         records = sweep(cfg, parameter, values, mode="analytic")
         assert propagations == [name]
         for record, value in zip(records, values):
+            pumps = (value,) if parameter == "pump_mw" else (cfg.pump_sweep_mw[0],)
             field = "efficiency" if parameter == "hd_efficiency" else parameter
-            hd = replace(cfg.hd, thetas_rad=(0.0, math.pi / 2), **{field: value})
-            variant = replace(cfg, chain=cfg.chain[:-1] + (hd,),
-                              pump_sweep_mw=(cfg.pump_sweep_mw[0],), mc_pump_mw=None)
+            changes = {} if parameter == "pump_mw" else {field: value}
+            hd = replace(cfg.hd, thetas_rad=(0.0, math.pi / 2), **changes)
+            variant = replace(cfg, chain=cfg.chain[:-1] + (hd,), pump_sweep_mw=pumps,
+                              mc_pump_mw=None)
             rows = run_scenario(variant, mode="analytic").rows
             by_theta = {round(math.degrees(row.theta_rad)): row.analytic_db for row in rows}
             assert record["squeezed_db"] == by_theta[0]
