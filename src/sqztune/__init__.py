@@ -14,6 +14,7 @@ from .gaussian_core import (
     add_vacuum_modes,
     apply_loss,
     apply_symplectic,
+    apply_uniform_loss,
     is_physical,
     partial_trace,
     quadrature_variance,
@@ -33,16 +34,12 @@ from .homodyne import (
     variance_from_r,
 )
 from .optics_components import (
-    AbiChannel,
-    AbiParams,
     OpoParams,
     abi_efficiency,
     abi_ideal_unitary,
-    abi_transform,
-    aom_transform,
+    aom_unitary,
     apply_abi,
     apply_aom,
-    apply_uniform_loss,
     chain_efficiency,
     opo_sideband_state,
     opo_variances,

@@ -128,75 +128,63 @@ def vacuum_state(modes: Sequence[ModeLabel]) -> GaussianState:
 
 @dataclass(frozen=True)
 class SymplecticOp:
-    """Lossless Gaussian operation: symplectic matrix plus mode relabeling.
-
-    ``matrix`` acts on the quadratures of ``input_modes`` (in that order);
-    after application the labels are replaced by ``output_modes``, which is
-    how frequency-shifting elements express their relabeling.
-    """
+    """Lossless Gaussian operation: a symplectic matrix acting on the
+    quadratures of ``modes`` (in that order)."""
 
     matrix: NDArray[np.float64]
-    input_modes: tuple[ModeLabel, ...]
-    output_modes: tuple[ModeLabel, ...]
+    modes: tuple[ModeLabel, ...]
 
     def __post_init__(self) -> None:
-        ins = _check_modes(self.input_modes)
-        outs = _check_modes(self.output_modes)
-        mat = np.asarray(self.matrix, dtype=float)
-        n = len(ins)
-        if len(outs) != n:
-            raise ValueError("input and output mode lists must have equal length")
+        modes = _check_modes(self.modes)
+        mat = np.array(self.matrix, dtype=float)  # a copy, frozen below
+        n = len(modes)
         if mat.shape != (2 * n, 2 * n):
             raise ValueError(f"matrix shape {mat.shape} does not match {n} modes")
         j = symplectic_form(n)
         if np.max(np.abs(mat @ j @ mat.T - j)) > SYMPLECTIC_TOL:
             raise ValueError("matrix is not symplectic within tolerance")
-        mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "input_modes", ins)
-        object.__setattr__(self, "output_modes", outs)
-
-    def compose(self, other: "SymplecticOp") -> "SymplecticOp":
-        """Op equal to applying ``other`` first, then ``self``."""
-        if self.input_modes != other.output_modes:
-            raise ValueError("ops are not composable: mode lists do not match")
-        return SymplecticOp(self.matrix @ other.matrix, other.input_modes, self.output_modes)
+        object.__setattr__(self, "modes", modes)
 
 
 def apply_symplectic(state: GaussianState, op: SymplecticOp) -> GaussianState:
-    """Apply a symplectic op to the state (cov -> S cov S^T on its block).
-
-    Modes not touched by the op are unchanged; the op's input labels are
-    replaced in place by its output labels.
-    """
-    positions = [state.index(m) for m in op.input_modes]
+    """Apply a symplectic op to the state: cov -> S cov S^T on the block of its modes."""
+    positions = [state.index(m) for m in op.modes]
     idx = np.concatenate([[2 * p, 2 * p + 1] for p in positions])
     full = np.eye(2 * state.n_modes)
     full[np.ix_(idx, idx)] = op.matrix
-    new_cov = full @ state.cov @ full.T
-    new_modes = list(state.modes)
-    for p, out in zip(positions, op.output_modes):
-        new_modes[p] = out
-    return GaussianState(tuple(new_modes), new_cov)
+    return GaussianState(state.modes, full @ state.cov @ full.T)
 
 
-def apply_loss(state: GaussianState, mode: ModeLabel, eta: float) -> GaussianState:
-    """Pure loss channel of efficiency eta on one mode.
+def apply_uniform_loss(
+    state: GaussianState, eta: float, modes: Sequence[ModeLabel] | None = None
+) -> GaussianState:
+    """Pure loss channel of efficiency eta on each listed mode (default: all).
 
-    The mode's block becomes eta*C + (1-eta)*I and its correlations with
-    every other mode are scaled by sqrt(eta).
+    One step: the listed modes' rows, then their columns, are scaled by
+    sqrt(eta) and 1 - eta is added to their diagonal.  Every entry sees the
+    same operations in the same order as under one single-mode loss per mode.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must be in [0, 1], got {eta}")
-    p = state.index(mode)
-    sl = slice(2 * p, 2 * p + 2)
+    modes = state.modes if modes is None else tuple(modes)
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"duplicate modes in {modes}")
+    if not modes:
+        return state
+    idx = np.array([2 * state.index(m) + q for m in modes for q in (0, 1)])
     cov = state.cov.copy()
     root = np.sqrt(eta)
-    cov[sl, :] *= root
-    cov[:, sl] *= root
-    cov[sl, sl] += (1.0 - eta) * np.eye(2)
+    cov[idx, :] *= root
+    cov[:, idx] *= root
+    cov[idx, idx] += 1.0 - eta
     return GaussianState(state.modes, cov)
+
+
+def apply_loss(state: GaussianState, mode: ModeLabel, eta: float) -> GaussianState:
+    """Pure loss channel of efficiency eta on one mode."""
+    return apply_uniform_loss(state, eta, (mode,))
 
 
 def quadrature_variance(state: GaussianState, mode: ModeLabel, theta: float) -> float:
@@ -241,21 +229,16 @@ def is_physical(state: GaussianState, slack: float = UNCERTAINTY_SLACK) -> bool:
 # Standard symplectic building blocks
 # ---------------------------------------------------------------------------
 
-def identity_op(modes: Sequence[ModeLabel]) -> SymplecticOp:
-    modes = _check_modes(modes)
-    return SymplecticOp(np.eye(2 * len(modes)), modes, modes)
-
-
 def squeezer(r: float, mode: ModeLabel) -> SymplecticOp:
     """Single-mode squeezer: X -> exp(-r) X, P -> exp(r) P."""
     mat = np.diag([np.exp(-r), np.exp(r)])
-    return SymplecticOp(mat, (mode,), (mode,))
+    return SymplecticOp(mat, (mode,))
 
 
 def phase_rotation(phi: float, mode: ModeLabel) -> SymplecticOp:
     """Optical phase shift a -> exp(i phi) a."""
     c, s = np.cos(phi), np.sin(phi)
-    return SymplecticOp(np.array([[c, -s], [s, c]]), (mode,), (mode,))
+    return SymplecticOp(np.array([[c, -s], [s, c]]), (mode,))
 
 
 def two_mode_squeezer(r: float, mode_a: ModeLabel, mode_b: ModeLabel) -> SymplecticOp:
@@ -269,13 +252,11 @@ def two_mode_squeezer(r: float, mode_a: ModeLabel, mode_b: ModeLabel) -> Symplec
             [0.0, sh, 0.0, ch],
         ]
     )
-    return SymplecticOp(mat, (mode_a, mode_b), (mode_a, mode_b))
+    return SymplecticOp(mat, (mode_a, mode_b))
 
 
 def symplectic_from_unitary(
-    unitary: NDArray[np.complex128],
-    input_modes: Sequence[ModeLabel],
-    output_modes: Sequence[ModeLabel] | None = None,
+    unitary: NDArray[np.complex128], modes: Sequence[ModeLabel]
 ) -> SymplecticOp:
     """Symplectic op of a passive linear-optics unitary on annihilation operators.
 
@@ -294,5 +275,4 @@ def symplectic_from_unitary(
     mat[1::2, 1::2] = a
     mat[0::2, 1::2] = -b
     mat[1::2, 0::2] = b
-    outs = tuple(output_modes) if output_modes is not None else tuple(input_modes)
-    return SymplecticOp(mat, tuple(input_modes), outs)
+    return SymplecticOp(mat, tuple(modes))

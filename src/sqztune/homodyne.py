@@ -19,9 +19,9 @@ from .gaussian_core import (
     GaussianState,
     ModeLabel,
     add_vacuum_modes,
+    apply_uniform_loss,
     partial_trace,
 )
-from .optics_components import apply_uniform_loss
 
 SQUEEZED = "squeezed"
 ANTISQUEEZED = "antisqueezed"

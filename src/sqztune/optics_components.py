@@ -1,12 +1,14 @@
 """
 Optical chain elements acting on Gaussian states: below-threshold parametric
 source (OPO), acousto-optic frequency shifter (AOM), the two-AOM
-interferometric frequency tuner (ABI), and multiplicative efficiency budgets.
+interferometric frequency tuner (ABI), and :func:`chain_efficiency`.
 
 An AOM couples the mode pair (delta, delta + shift): the transmitted path
 keeps its frequency while the diffracted path moves by the acoustic drive
 frequency, so in the frequency-labeled mode basis the device is an ordinary
-beam splitter between the two members of the pair.
+beam splitter between the two members of the pair.  Each frequency shifter
+is described only by its 2x2 pair unitary (:func:`aom_unitary`,
+:func:`abi_ideal_unitary`).
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from numpy.typing import NDArray
 from .gaussian_core import (
     GaussianState,
     ModeLabel,
-    SymplecticOp,
     add_vacuum_modes,
     apply_symplectic,
+    apply_uniform_loss,
     symplectic_from_unitary,
 )
 
@@ -124,10 +126,8 @@ def opo_sideband_state(p: OpoParams, nu_mhz: float) -> GaussianState:
     return sideband_pair_state(*opo_variances(p, nu_mhz, p.escape_efficiency), nu_mhz)
 
 
-def aom_transform(
-    t: float, r: float, shift_mhz: float, lower: ModeLabel = ModeLabel(0)
-) -> SymplecticOp:
-    """Beam-splitter op of a single AOM on the mode pair (lower, lower+shift).
+def aom_unitary(t: float, r: float) -> NDArray[np.complex128]:
+    """Beam-splitter unitary of a single AOM on the mode pair (lower, lower+shift).
 
     Transmission keeps the frequency; diffraction moves it by the acoustic
     drive: the upper input diffracts down onto the lower output and the
@@ -138,37 +138,7 @@ def aom_transform(
     """
     if abs(t * t + r * r - 1.0) > SPLIT_NORM_TOL:
         raise ValueError(f"splitting coefficients not normalized: |t|^2+|r|^2 = {t*t+r*r}")
-    upper = lower.shifted_mhz(shift_mhz)
-    unitary = np.array([[t, r], [-r, t]], dtype=complex)
-    return symplectic_from_unitary(unitary, (lower, upper))
-
-
-@dataclass(frozen=True)
-class AbiParams:
-    """Two-AOM interferometric frequency tuner parameters.
-
-    ``zeta`` is the per-arm optical efficiency, ``visibility`` the fringe
-    contrast of the closed interferometer, ``phi_rad`` the inter-arm phase
-    (0 = complete frequency translation), and (t, r) the common splitting
-    coefficients of both AOMs.
-    """
-
-    shift_mhz: float = 80.0
-    zeta: float = 1.0
-    visibility: float = 1.0
-    phi_rad: float = 0.0
-    t: float = 1.0 / np.sqrt(2.0)
-    r: float = 1.0 / np.sqrt(2.0)
-
-    def __post_init__(self) -> None:
-        if abs(self.t**2 + self.r**2 - 1.0) > SPLIT_NORM_TOL:
-            raise ValueError("AOM splitting coefficients must satisfy |t|^2+|r|^2 = 1")
-        if not 0.0 <= self.zeta <= 1.0:
-            raise ValueError("arm efficiency must be in [0, 1]")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must be in [0, 1]")
-        if self.shift_mhz == 0:
-            raise ValueError("frequency shift must be non-zero")
+    return np.array([[t, r], [-r, t]], dtype=complex)
 
 
 def abi_efficiency(zeta: float, visibility: float) -> float:
@@ -183,9 +153,10 @@ def abi_efficiency(zeta: float, visibility: float) -> float:
 def abi_ideal_unitary(phi_rad: float) -> NDArray[np.complex128]:
     """Ideal 50:50 tuner as a unitary on the (lower, upper) frequency pair.
 
-    Composition of two balanced AOMs with inter-arm phase phi on the shifted
-    arm.  At phi = 0 the lower input transfers completely to the upper output
-    (up to a sign) and vice versa; the port amplitudes vary as
+    Closed form of two balanced AOMs with inter-arm phase phi on the shifted
+    arm, aom_unitary(s, s) @ diag(1, exp(i phi)) @ aom_unitary(s, s) with
+    s = 1/sqrt(2).  At phi = 0 the lower input transfers completely to the
+    upper output (up to a sign) and vice versa; the port amplitudes vary as
     |1 +- exp(i phi)| / 2.
     """
     e = np.exp(1j * phi_rad)
@@ -197,110 +168,41 @@ def abi_ideal_unitary(phi_rad: float) -> NDArray[np.complex128]:
     )
 
 
-@dataclass(frozen=True)
-class AbiChannel:
-    """Tuner action: lossless symplectic part plus uniform output loss."""
+def _couple_pairs(
+    state: GaussianState, u: NDArray[np.complex128], shift_mhz: float
+) -> GaussianState:
+    """Couple every mode with its ``+shift`` partner through the pair unitary ``u``.
 
-    op: SymplecticOp
-    efficiency: float
-
-
-def abi_transform(
-    params: AbiParams, lowers: Sequence[ModeLabel] = (ModeLabel(0),)
-) -> AbiChannel:
-    """Build the tuner channel acting pairwise on (delta, delta + shift).
-
-    Each listed lower mode and its shifted partner form an independent
-    beam-splitter pair; imperfection is modeled as the ideal transform
-    followed by a loss channel of efficiency zeta*(1+V)/2 on both outputs.
+    Each mode of the state is the lower input of its own (delta, delta +
+    shift) pair; partners missing from the state enter as vacuum.  A partner
+    that is already a mode of the state would sit in two pairs, so it is
+    rejected.  All pairs act as one block-diagonal symplectic.
     """
-    lowers = tuple(lowers)
-    if not lowers:
-        raise ValueError("at least one mode pair required")
-    pair_modes: list[ModeLabel] = []
-    blocks: list[NDArray[np.complex128]] = []
-    e = np.exp(1j * params.phi_rad)
-    t, r = params.t, params.r
-    # two identical AOM splitters with the phase on the shifted arm
-    m_aom = np.array([[t, r], [-r, t]], dtype=complex)
-    pair_u = m_aom @ np.diag([1.0, e]) @ m_aom
-    for lower in lowers:
-        upper = lower.shifted_mhz(params.shift_mhz)
-        pair_modes.extend([lower, upper])
-        blocks.append(pair_u)
-    if len(set(pair_modes)) != len(pair_modes):
-        raise ValueError("tuner mode pairs overlap; choose disjoint lower modes")
-    n = len(pair_modes)
-    unitary = np.zeros((n, n), dtype=complex)
-    for k, block in enumerate(blocks):
-        unitary[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
-    op = symplectic_from_unitary(unitary, tuple(pair_modes))
-    return AbiChannel(op, abi_efficiency(params.zeta, params.visibility))
+    uppers = tuple(m.shifted_mhz(shift_mhz) for m in state.modes)
+    overlap = [m for m in uppers if m in state.modes]
+    if overlap:
+        raise ValueError(f"mode pairs overlap: {overlap[0]} is a mode and a shifted partner")
+    pair_modes = [m for pair in zip(state.modes, uppers) for m in pair]
+    op = symplectic_from_unitary(np.kron(np.eye(len(uppers)), u), pair_modes)
+    return apply_symplectic(add_vacuum_modes(state, uppers), op)
+
+
+def apply_aom(state: GaussianState, t: float, r: float, shift_mhz: float) -> GaussianState:
+    """Send a state through one AOM; missing pair partners enter as vacuum."""
+    return _couple_pairs(state, aom_unitary(t, r), shift_mhz)
 
 
 def apply_abi(
-    state: GaussianState,
-    params: AbiParams,
-    lowers: Sequence[ModeLabel] | None = None,
+    state: GaussianState, shift_mhz: float, zeta: float, visibility: float, phi_rad: float
 ) -> GaussianState:
     """Send a state through the tuner; missing pair partners enter as vacuum.
 
-    By default every mode currently in the state is treated as a lower input
-    of its own (delta, delta + shift) pair.
+    The ideal tuner at inter-arm phase ``phi_rad`` (0 = complete frequency
+    translation) is followed by the loss :func:`abi_efficiency` of the per-arm
+    efficiency ``zeta`` and fringe ``visibility`` on every coupled mode.
     """
-    if lowers is None:
-        lowers = state.modes
-    channel = abi_transform(params, lowers)
-    missing = [m for m in channel.op.input_modes if m not in state.modes]
-    extended = add_vacuum_modes(state, missing)
-    out = apply_symplectic(extended, channel.op)
-    return apply_uniform_loss(out, channel.efficiency, channel.op.output_modes)
-
-
-def apply_aom(
-    state: GaussianState,
-    t: float,
-    r: float,
-    shift_mhz: float,
-    lowers: Sequence[ModeLabel] | None = None,
-) -> GaussianState:
-    """Send a state through one AOM; missing pair partners enter as vacuum."""
-    if lowers is None:
-        lowers = state.modes
-    ops = [aom_transform(t, r, shift_mhz, lower) for lower in lowers]
-    all_modes = [m for op in ops for m in op.input_modes]
-    if len(set(all_modes)) != len(all_modes):
-        raise ValueError("AOM mode pairs overlap; choose disjoint lower modes")
-    out = add_vacuum_modes(state, [m for m in all_modes if m not in state.modes])
-    for op in ops:
-        out = apply_symplectic(out, op)
-    return out
-
-
-def apply_uniform_loss(
-    state: GaussianState, eta: float, modes: Sequence[ModeLabel] | None = None
-) -> GaussianState:
-    """Apply the same loss channel to each listed mode (default: all modes).
-
-    One step: the listed modes' rows, then their columns, are scaled by
-    sqrt(eta) and 1 - eta is added to their diagonal.  Every entry sees the
-    same operations in the same order as under one :func:`apply_loss` per
-    mode, so the result is the same bit for bit.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must be in [0, 1], got {eta}")
-    modes = state.modes if modes is None else tuple(modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"duplicate modes in {modes}")
-    if not modes:
-        return state
-    idx = np.array([2 * state.index(m) + q for m in modes for q in (0, 1)])
-    cov = state.cov.copy()
-    root = np.sqrt(eta)
-    cov[idx, :] *= root
-    cov[:, idx] *= root
-    cov[idx, idx] += 1.0 - eta
-    return GaussianState(state.modes, cov)
+    eta = abi_efficiency(zeta, visibility)
+    return apply_uniform_loss(_couple_pairs(state, abi_ideal_unitary(phi_rad), shift_mhz), eta)
 
 
 EfficiencyChain = Sequence[tuple[str, float]]

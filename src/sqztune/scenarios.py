@@ -29,16 +29,14 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .gaussian_core import GaussianState, ModeLabel
+from .gaussian_core import GaussianState, ModeLabel, apply_uniform_loss
 from .homodyne import DetectedPair, db, detect_pair
 from .optics_components import (
     SPLIT_NORM_TOL,
-    AbiParams,
     OpoParams,
     abi_efficiency,
     apply_abi,
     apply_aom,
-    apply_uniform_loss,
     opo_sideband_state,
     opo_variances,
     sideband_pair_state,
@@ -505,13 +503,7 @@ def _propagate(cfg: ScenarioConfig, state: GaussianState) -> GaussianState:
         try:
             if isinstance(element, AbiSpec):
                 state = apply_abi(
-                    state,
-                    AbiParams(
-                        shift_mhz=element.shift_mhz,
-                        zeta=element.zeta,
-                        visibility=element.visibility,
-                        phi_rad=element.phi_rad,
-                    ),
+                    state, element.shift_mhz, element.zeta, element.visibility, element.phi_rad
                 )
             else:
                 state = apply_aom(state, element.t, element.r, element.shift_mhz)

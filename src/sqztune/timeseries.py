@@ -49,6 +49,12 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 from numpy.typing import NDArray
 
+# Load-time bounds, so that every accepted acquisition runs: a whole-grid array
+# holds samples_per_round // 2 + 1 bins, and a record stream draws about
+# samples_per_round words per round.  The builtins sit 84x and 43x below them.
+MAX_SAMPLES_PER_ROUND = 2**22
+MAX_DRAWS_PER_STREAM = 2**30
+
 
 @dataclass(frozen=True)
 class AcquisitionParams:
@@ -82,6 +88,16 @@ class AcquisitionParams:
             raise ValueError("samples per round must be an even count >= 2")
         if self.rounds < 1:
             raise ValueError("at least one round required")
+        if self.samples_per_round > MAX_SAMPLES_PER_ROUND:
+            raise ValueError(
+                f"acquisition samples_per_round {self.samples_per_round} exceeds "
+                f"MAX_SAMPLES_PER_ROUND = {MAX_SAMPLES_PER_ROUND} (whole-grid arrays)"
+            )
+        if int(self.samples_per_round) * int(self.rounds) > MAX_DRAWS_PER_STREAM:  # no int64 wrap
+            raise ValueError(
+                f"acquisition rounds {self.rounds} x {self.samples_per_round} samples exceeds "
+                f"MAX_DRAWS_PER_STREAM = {MAX_DRAWS_PER_STREAM} (draws per stream)"
+            )
         if self.band_width_mhz <= 0:
             raise ValueError("band width must be positive")
         nyquist = self.sample_rate_msps / 2.0

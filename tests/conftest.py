@@ -12,7 +12,7 @@ from sqztune.gaussian_core import (
     vacuum_state,
 )
 from sqztune import scenarios
-from sqztune.optics_components import AbiParams, apply_abi
+from sqztune.optics_components import apply_abi
 
 MODE_POOL = tuple(ModeLabel.from_mhz(m) for m in (-2.0, -1.0, 0.0, 1.0, 2.0))
 
@@ -55,11 +55,8 @@ def random_chain_state(rng: np.random.Generator) -> GaussianState:
         else:
             state = apply_loss(state, mode, rng.uniform(0, 1))
     if rng.uniform() < 0.2:
-        params = AbiParams(
-            shift_mhz=80.0, zeta=rng.uniform(0.5, 1.0), visibility=rng.uniform(0.5, 1.0),
-            phi_rad=rng.uniform(0, 2 * np.pi),
-        )
-        state = apply_abi(state, params)
+        zeta, visibility = rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0)
+        state = apply_abi(state, 80.0, zeta, visibility, rng.uniform(0, 2 * np.pi))
     return state
 
 

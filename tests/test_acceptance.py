@@ -26,22 +26,27 @@ from sqztune.gaussian_core import (
 )
 from sqztune.homodyne import (
     ANTISQUEEZED,
-    HdConfig,
     asymmetric_beat_noise,
     db,
-    hd_noise_power,
     r_from_antisqueezing,
     variance_from_r,
 )
 from sqztune.optics_components import (
     OpoParams,
     abi_ideal_unitary,
-    aom_transform,
+    aom_unitary,
     chain_efficiency,
-    opo_sideband_state,
     opo_variances,
 )
-from sqztune.scenarios import BUILTIN_SCENARIOS, get_scenario, run_scenario
+from sqztune.scenarios import (
+    BUILTIN_SCENARIOS,
+    HdSpec,
+    ScenarioConfig,
+    SourceSpec,
+    get_scenario,
+    run_scenario,
+)
+from sqztune.timeseries import AcquisitionParams
 
 CARRIER = ModeLabel(0)
 OFFSET_6DEG = math.radians(6.0)
@@ -57,17 +62,18 @@ def full_runs():
     return {name: run_scenario(get_scenario(name)) for name in sorted(BUILTIN_SCENARIOS)}
 
 
-def _pipeline_db(pump_mw: float, eta: float, theta: float) -> float:
-    state = opo_sideband_state(OpoParams(pump_mw), 1.55)
-    cfg = HdConfig(
-        lo=CARRIER, theta=theta, nu_mhz=1.55, delta_theta=OFFSET_6DEG, efficiency=eta
-    )
-    return hd_noise_power(state, cfg).value_db
+def _readout_rows(pumps: tuple[float, ...], eta: float) -> dict[str, float]:
+    """Analytic rows of a chain of only the source and the carrier-LO readout
+    (phases 0 and pi/2, 1.55 MHz band, 6 degree lock offset, efficiency eta)."""
+    hd = HdSpec(0.0, (0.0, math.pi / 2), (1.55,), OFFSET_6DEG, eta)
+    cfg = ScenarioConfig("readout", "", (SourceSpec(), hd), pumps, AcquisitionParams())
+    return {row.quantity: row.analytic_db for row in run_scenario(cfg, mode="analytic").rows}
 
 
 def test_criterion_1_direct_readout_levels():
-    squeezing = _pipeline_db(450.0, 0.708, 0.0)
-    antisqueezing = _pipeline_db(450.0, 0.708, math.pi / 2)
+    rows = _readout_rows((450.0,), 0.708)
+    squeezing = rows["squeezing_db@450mW"]
+    antisqueezing = rows["antisqueezing_db@450mW"]
     ok = abs(antisqueezing - 11.64) <= 0.2 and abs(squeezing - (-3.02)) <= 0.35
     report(
         "criterion 1",
@@ -88,9 +94,10 @@ def test_criterion_2_pump_sweep_optimum(full_runs):
 
 
 def test_criterion_3_tuned_state_levels():
-    sq_450 = _pipeline_db(450.0, 0.483, 0.0)
-    anti_450 = _pipeline_db(450.0, 0.483, math.pi / 2)
-    sq_270 = _pipeline_db(270.0, 0.483, 0.0)
+    rows = _readout_rows((450.0, 270.0), 0.483)
+    sq_450 = rows["squeezing_db@450mW"]
+    anti_450 = rows["antisqueezing_db@450mW"]
+    sq_270 = rows["squeezing_db@270mW"]
     ok = (
         abs(sq_450 - (-1.66)) <= 0.35
         and abs(anti_450 - 10.02) <= 0.2
@@ -297,7 +304,7 @@ def test_criterion_8d_tuner_matrix_identity():
     worst = 0.0
     for _ in range(100):
         phi = rng.uniform(0, 2 * np.pi)
-        aom = aom_transform(s2, s2, 80.0).matrix
+        aom = symplectic_from_unitary(aom_unitary(s2, s2), (CARRIER, shifted)).matrix
         arm = np.eye(4)
         arm[2:, 2:] = phase_rotation(phi, shifted).matrix
         composed = aom @ arm @ aom

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,27 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"acquisition {field} must be" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("samples_per_round", 2**40), ("rounds", 10**12)],
+        ids=["samples-2^40", "rounds-1e12"],
+    )
+    def test_oversized_acquisition_exits_2_unallocated(self, tmp_path, capsys, field, value):
+        data = scenario_to_dict(get_scenario("fig4a"))
+        data["acquisition"][field] = value
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(data))
+        tracemalloc.start()
+        try:
+            code = main(["run", str(config), "--mode", "both"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"acquisition {field}" in err
+        assert "Traceback" not in err
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "elements, modes",

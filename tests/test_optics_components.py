@@ -4,6 +4,7 @@ import pytest
 from conftest import random_chain_state
 from sqztune.gaussian_core import (
     ModeLabel,
+    add_vacuum_modes,
     apply_loss,
     apply_symplectic,
     is_physical,
@@ -15,12 +16,10 @@ from sqztune.gaussian_core import (
 )
 from sqztune.homodyne import HdConfig, hd_noise_power
 from sqztune.optics_components import (
-    AbiParams,
     OpoParams,
     abi_efficiency,
     abi_ideal_unitary,
-    abi_transform,
-    aom_transform,
+    aom_unitary,
     apply_abi,
     apply_aom,
     apply_uniform_loss,
@@ -146,11 +145,19 @@ class TestOpoSidebandState:
             opo_sideband_state(OpoParams(450.0), 0.0)
 
 
+def aom_op(t, r):
+    return symplectic_from_unitary(aom_unitary(t, r), (CARRIER, SHIFTED))
+
+
+def ideal_abi(state, phi_rad=0.0, zeta=1.0):
+    return apply_abi(state, 80.0, zeta, 1.0, phi_rad)
+
+
 class TestAomTransform:
     def test_full_transmission_is_identity(self):
-        op = aom_transform(1.0, 0.0, 80.0)
+        op = aom_op(1.0, 0.0)
         assert np.allclose(op.matrix, np.eye(4), atol=1e-15)
-        assert op.input_modes == op.output_modes == (CARRIER, SHIFTED)
+        assert op.modes == (CARRIER, SHIFTED)
 
     def test_vacuum_in_vacuum_out(self):
         out = apply_aom(vacuum_state([CARRIER]), 1 / np.sqrt(2), 1 / np.sqrt(2), 80.0)
@@ -158,16 +165,35 @@ class TestAomTransform:
 
     def test_unnormalized_split_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
-            aom_transform(0.9, 0.5, 80.0)
+            aom_unitary(0.9, 0.5)
+        with pytest.raises(ValueError, match="normalized"):
+            apply_aom(vacuum_state([CARRIER]), 0.9, 0.5, 80.0)
 
     def test_two_balanced_aoms_transfer_completely(self):
         # zero inter-arm phase: composition acts like the closed-form tuner
         s2 = 1 / np.sqrt(2)
         state = apply_symplectic(vacuum_state([CARRIER]), squeezer(0.8, CARRIER))
         out = apply_aom(state, s2, s2, 80.0)
-        out = apply_symplectic(out, aom_transform(s2, s2, 80.0))
+        out = apply_symplectic(out, aom_op(s2, s2))
         assert np.allclose(out.mode_block(SHIFTED), state.mode_block(CARRIER), atol=1e-12)
         assert np.allclose(out.mode_block(CARRIER), np.eye(2), atol=1e-12)
+
+    def test_multimode_state_equals_pairwise_ops(self):
+        # one block-diagonal symplectic equals each pair's op applied in turn
+        t, r = 0.8, 0.6
+        state = opo_sideband_state(OpoParams(450.0), 1.55)
+        state = apply_loss(state, ModeLabel.from_mhz(1.55), 0.7)
+        got = apply_aom(state, t, r, 80.0)
+        expected = add_vacuum_modes(state, [m.shifted_mhz(80.0) for m in state.modes])
+        for lo in state.modes:
+            op = symplectic_from_unitary(aom_unitary(t, r), (lo, lo.shifted_mhz(80.0)))
+            expected = apply_symplectic(expected, op)
+        assert got.modes == expected.modes
+        assert np.max(np.abs(got.cov - expected.cov)) <= 1e-15
+
+    def test_overlapping_pairs_rejected(self):
+        with pytest.raises(ValueError, match="overlap"):
+            apply_aom(vacuum_state([CARRIER, SHIFTED]), 0.8, 0.6, 80.0)
 
 
 class TestAbi:
@@ -183,16 +209,26 @@ class TestAbi:
     def test_ideal_transfer_at_zero_phase(self):
         r = 1.1
         state = apply_symplectic(vacuum_state([CARRIER]), squeezer(r, CARRIER))
-        out = apply_abi(state, AbiParams())
+        out = ideal_abi(state)
         assert np.allclose(
             out.mode_block(SHIFTED), np.diag([np.exp(-2 * r), np.exp(2 * r)]), atol=1e-12
         )
         assert np.allclose(out.mode_block(CARRIER), np.eye(2), atol=1e-12)
 
+    def test_ideal_transfer_is_exact(self):
+        # the closed-form unitary at phi = 0 holds only 0 and +-1
+        state = apply_symplectic(vacuum_state([CARRIER]), squeezer(1.1, CARRIER))
+        state = apply_symplectic(state, phase_rotation(0.3, CARRIER))
+        out = ideal_abi(state)
+        assert out.modes == (CARRIER, SHIFTED)
+        assert np.array_equal(out.mode_block(SHIFTED), state.mode_block(CARRIER))
+        assert np.array_equal(out.mode_block(CARRIER), np.eye(2))
+        assert np.array_equal(out.cov[:2, 2:], np.zeros((2, 2)))
+
     def test_pi_phase_swaps_ports(self):
         r = 0.9
         state = apply_symplectic(vacuum_state([CARRIER]), squeezer(r, CARRIER))
-        out = apply_abi(state, AbiParams(phi_rad=np.pi))
+        out = ideal_abi(state, phi_rad=np.pi)
         # input at the carrier stays at the carrier; the shifted port gets vacuum
         assert np.allclose(out.mode_block(CARRIER), state.mode_block(CARRIER), atol=1e-12)
         assert np.allclose(out.mode_block(SHIFTED), np.eye(2), atol=1e-12)
@@ -200,7 +236,7 @@ class TestAbi:
     def test_lossy_transfer_mixes_vacuum(self):
         r = 0.8
         state = apply_symplectic(vacuum_state([CARRIER]), squeezer(r, CARRIER))
-        out = apply_abi(state, AbiParams(zeta=0.91, visibility=1.0))
+        out = ideal_abi(state, zeta=0.91)
         expected = 0.91 * np.exp(-2 * r) + 0.09
         assert out.mode_block(SHIFTED)[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -222,7 +258,7 @@ class TestAbi:
         s2 = 1 / np.sqrt(2)
         for _ in range(20):
             phi = rng.uniform(0, 2 * np.pi)
-            aom = aom_transform(s2, s2, 80.0)
+            aom = aom_op(s2, s2)
             arm_phase = phase_rotation(phi, SHIFTED)
             full_phase = np.eye(4)
             full_phase[2:, 2:] = arm_phase.matrix
@@ -230,17 +266,13 @@ class TestAbi:
             closed_form = symplectic_from_unitary(abi_ideal_unitary(phi), (CARRIER, SHIFTED))
             assert np.max(np.abs(composed - closed_form.matrix)) < 1e-12
 
-    def test_output_label_is_exactly_shifted(self):
-        channel = abi_transform(AbiParams(), lowers=(CARRIER,))
-        assert channel.op.output_modes[1].detuning_hz == 80_000_000
-
     def test_overlapping_pairs_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            abi_transform(AbiParams(), lowers=(CARRIER, SHIFTED))
+            ideal_abi(vacuum_state([CARRIER, SHIFTED]))
 
     def test_sideband_pairs_ride_along(self):
         state = opo_sideband_state(OpoParams(450.0, escape_efficiency=0.934), 1.55)
-        out = apply_abi(state, AbiParams())
+        out = ideal_abi(state)
         assert ModeLabel.from_mhz(78.45) in out.modes
         assert ModeLabel.from_mhz(81.55) in out.modes
         cfg = HdConfig(lo=SHIFTED, theta=0.0, nu_mhz=1.55)
@@ -249,9 +281,7 @@ class TestAbi:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            AbiParams(zeta=1.3)
-        with pytest.raises(ValueError):
-            AbiParams(t=0.9, r=0.6)
+            ideal_abi(vacuum_state([CARRIER]), zeta=1.3)
 
 
 class TestUniformLoss:

@@ -97,6 +97,19 @@ class TestAcquisitionParams:
         with pytest.raises(ValueError):
             AcquisitionParams(rng_seed=-1)
 
+    def test_resource_bounds(self):
+        n, draws = timeseries.MAX_SAMPLES_PER_ROUND, timeseries.MAX_DRAWS_PER_STREAM
+        AcquisitionParams(samples_per_round=n, rounds=draws // n)
+        with pytest.raises(ValueError, match="acquisition samples_per_round .*whole-grid"):
+            AcquisitionParams(samples_per_round=n + 2, rounds=1)
+        with pytest.raises(ValueError, match="acquisition rounds .*draws per stream"):
+            AcquisitionParams(samples_per_round=n, rounds=draws // n + 1)
+        # a product beyond int64 must not wrap round to an accepted value
+        with pytest.raises(ValueError, match="draws per stream"):
+            AcquisitionParams(samples_per_round=np.int64(50_000), rounds=np.int64(10**15))
+        # the builtins' 50,000 samples at 500 rounds keep at least 10x headroom
+        assert n >= 10 * 50_000 and draws >= 10 * 50_000 * 500
+
     @pytest.mark.parametrize(
         "field, value",
         [("rounds", 2.5), ("rounds", True), ("samples_per_round", 4096.0), ("rng_seed", 1.5),
