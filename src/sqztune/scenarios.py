@@ -638,12 +638,14 @@ def _evaluate(cfg: ScenarioConfig, pairs: Sequence[DetectedPair], pump: float,
     if mc is not None:
         acq, noise, bins, stream = mc
         # Each target is tabulated on the noise spectra's bins, which are the
-        # bins simulate_spectra reads.
-        targets = _mc_targets(cfg, opo, gains, eta, noise["snl"].freqs_mhz)
+        # bins simulate_spectra reads.  simulate_spectra asks each model for
+        # its target once; the model hands the tabulated array over and keeps
+        # no reference, so the array is freed once target_psd has added the
+        # floor to it.
         models = [
-            NoiseModel(lambda freqs, target=target: target, cfg.electronic_floor,
+            NoiseModel(lambda freqs, held=[target]: held.pop(), cfg.electronic_floor,
                        cfg.interference_tones)
-            for target in targets
+            for target in _mc_targets(cfg, opo, gains, eta, noise["snl"].freqs_mhz)
         ]
         # Common random numbers across the LO phases of one pump point: phase
         # comparisons then reflect the model, not draw-to-draw scatter.

@@ -583,15 +583,37 @@ _CSV_BLOCK = 1024  # grid bins formatted at a time
 _MAX_OPEN_FILES = 64  # files a write_spectra_csv pass holds open at once
 
 
+def _format_chunk(chunk: NDArray[np.float64]) -> list[str]:
+    """Each value's ``repr`` text, in order.
+
+    orjson writes the shortest round-trip digits, as ``repr`` does, and lays
+    them out as ``repr`` does for 1e-4 <= |x| < 1e16 and for ±0.0.  Outside
+    that range it writes ``0.00001``, ``1e16`` or ``1e-7`` where ``repr``
+    writes ``1e-05``, ``1e+16`` or ``1e-07``, and ``null`` for nan and ±inf,
+    so those cells are formatted with ``repr``.
+    """
+    # Imported here so that runs which write no spectrum never load it.
+    import orjson
+
+    text = orjson.dumps(np.ascontiguousarray(chunk), option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = text[1:-1].decode().split(",")
+    magnitude = np.abs(chunk)
+    outside = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (chunk != 0.0)
+    for i in np.flatnonzero(outside).tolist():
+        cells[i] = repr(float(chunk[i]))
+    return cells
+
+
 def _write_blocks(spectra: Sequence[SpectrumEstimate], handles: Sequence[TextIO]) -> None:
     """Write each spectrum's CSV to its handle, one block of grid bins at a
     time across all the handles.
 
     Within a block, each distinct column chunk (distinct by its bytes, so
-    -0.0 and 0.0 differ) is formatted once with ``repr`` and its text is
-    reused by every file that holds it, so a shared frequency grid or a
-    spectrum equal to another bit for bit costs one formatting.  Only one
-    block's text is held in memory at a time.
+    -0.0 and 0.0 differ) is formatted once, to the ``repr`` text of each
+    value (see :func:`_format_chunk`), and its text is reused by every file
+    that holds it, so a shared frequency grid or a spectrum equal to another
+    bit for bit costs one formatting.  Only one block's text is held in
+    memory at a time.
     """
     for fh in handles:
         fh.write(CSV_HEADER + "\n")
@@ -603,7 +625,7 @@ def _write_blocks(spectra: Sequence[SpectrumEstimate], handles: Sequence[TextIO]
                 chunk = column[start:start + _CSV_BLOCK]
                 key = chunk.tobytes()
                 if key not in cells:
-                    cells[key] = list(map(repr, chunk.tolist()))
+                    cells[key] = _format_chunk(chunk)
                 fields.append(cells[key])
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
@@ -635,7 +657,9 @@ def write_spectrum_csv(spec: SpectrumEstimate, fh: TextIO) -> None:
 
 def spectrum_to_csv(spec: SpectrumEstimate) -> str:
     """CSV text with header ``freq_mhz,psd_linear,stderr``; every value is its
-    float ``repr``, so :func:`spectrum_from_csv` reads it back bit for bit."""
+    float ``repr`` text, written by orjson where its text is the same (see
+    :func:`_format_chunk`), so :func:`spectrum_from_csv` reads it back bit
+    for bit."""
     out = io.StringIO()
     write_spectrum_csv(spec, out)
     return out.getvalue()

@@ -1,11 +1,12 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import mc_target_psd
-from sqztune import scenarios
+from sqztune import scenarios, timeseries
 from sqztune.gaussian_core import ModeLabel
 from sqztune.homodyne import HdConfig, db, hd_noise_power
 from sqztune.scenarios import (
@@ -510,6 +511,29 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match="no spectrum bins"):
             sweep(cfg, "pump_mw", [450.0], mode="montecarlo", seed=1)
         assert run_scenario(cfg, mode="analytic").rows
+
+    def test_tabulated_targets_freed_before_the_rounds(self, monkeypatch):
+        # simulate_spectra holds the totals target_psd builds from the
+        # tabulated targets; the tabulated arrays must be gone by the rounds.
+        tabulated, alive = [], []
+        mc_targets, read_words = scenarios._mc_targets, timeseries._read_words
+
+        def recording_targets(*args):
+            targets = mc_targets(*args)
+            tabulated.extend(weakref.ref(target) for target in targets)
+            return targets
+
+        def counting_read(*args):
+            alive.append(sum(ref() is not None for ref in tabulated))
+            return read_words(*args)
+
+        monkeypatch.setattr(scenarios, "_mc_targets", recording_targets)
+        monkeypatch.setattr(timeseries, "_read_words", counting_read)
+        cfg = fast(get_scenario("fig4a"))
+        run_scenario(cfg, mode="both", seed=3)
+        assert len(tabulated) == 2
+        assert len(alive) == 3 * cfg.acquisition.rounds
+        assert not any(alive)
 
     def test_too_few_rounds_is_a_config_error(self):
         cfg = fast(get_scenario("fig4a"), rounds=3)

@@ -1,8 +1,12 @@
 import contextlib
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import mc_target_psd
 from sqztune.homodyne import undb
@@ -531,6 +535,71 @@ class TestCsv:
         text = f"freq_mhz,psd_linear,stderr\n0.5,1.0,0.1\n{row}\n"
         with pytest.raises(ValueError, match="line 3"):
             spectrum_from_csv(text)
+
+
+def per_cell_rows(spec: SpectrumEstimate) -> list[str]:
+    """The data rows of a spectrum CSV, each value formatted on its own by ``repr``."""
+    return [
+        f"{float(freq)!r},{float(p)!r},{float(err)!r}"
+        for freq, p, err in zip(spec.freqs_mhz, spec.psd, spec.stderr)
+    ]
+
+
+# Where the text of the CSV writer's fast formatter and repr part ways (at
+# 1e-4 and 1e16), and values that only repr formats.
+BOUNDARY_VALUES = tuple(float(x) for x in (
+    1e-4, np.nextafter(1e-4, 0), 1e-5, 1e16, np.nextafter(1e16, 0), 5e-324, -0.0, 1e22,
+))
+boundary = st.sampled_from(BOUNDARY_VALUES)
+any_float = (
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | boundary | boundary.map(lambda x: -x)
+)
+
+
+class TestCsvText:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(any_float, any_float, any_float), min_size=1, max_size=40))
+    def test_export_text_is_repr_cell_by_cell(self, rows):
+        est = SpectrumEstimate(*(np.array(column) for column in zip(*rows)))
+        assert spectrum_to_csv(est).splitlines()[1:] == per_cell_rows(est)
+
+    def test_boundary_values_export_as_repr(self):
+        values = np.array([sign * x for x in BOUNDARY_VALUES for sign in (1.0, -1.0)])
+        est = SpectrumEstimate(values, np.roll(values, 1), np.roll(values, 2))
+        assert spectrum_to_csv(est).splitlines()[1:] == per_cell_rows(est)
+
+    def test_strided_columns_export_as_their_values(self):
+        est = simulate_spectrum(NoiseModel(lorentzian, 0.1, TONE), BEAT)
+        strided = SpectrumEstimate(est.freqs_mhz[::2], est.psd[::2], est.stderr[::2])
+        assert not strided.psd.flags.c_contiguous
+        assert spectrum_to_csv(strided).splitlines()[1:] == per_cell_rows(strided)
+
+
+# Runs in a child interpreter, so that no earlier test has loaded orjson.
+LAZY_IMPORT_PROBE = """
+import sys
+from dataclasses import replace
+sys.path.insert(0, 'src')
+from sqztune import SpectrumEstimate, get_scenario, run_scenario, spectrum_to_csv, sweep
+cfg = get_scenario('fig4a')
+run_scenario(cfg, mode='analytic')
+acq = replace(cfg.acquisition, samples_per_round=4096, rounds=16, band_width_mhz=0.4)
+sweep(replace(cfg, acquisition=acq), 'pump_mw', [300.0, 450.0], mode='both', seed=3)
+print('orjson' in sys.modules)
+spectrum_to_csv(SpectrumEstimate([0.0, 1.0], [2.0, 3.0], [0.0, 0.5]))
+print('orjson' in sys.modules)
+"""
+
+
+def test_only_the_csv_writer_loads_orjson():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", LAZY_IMPORT_PROBE], cwd=root, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 class TestSpectraWriter:
