@@ -23,8 +23,6 @@ from .gaussian_core import (
 )
 from .homodyne import (
     DetectedPair,
-    HdConfig,
-    NoisePowerResult,
     asymmetric_beat_noise,
     db,
     detect_pair,

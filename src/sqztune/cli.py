@@ -93,8 +93,16 @@ def _print_result(result: ScenarioResult) -> None:
         print(f"{row.quantity:<32} {analytic:>10} {mc:>11} {ref:>10} {check:>6}")
 
 
+def _make_dir(path: Path) -> None:
+    """Create an output directory; a path that cannot be one is a config error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {str(path)!r} as an output directory: {exc}") from None
+
+
 def _write_outputs(result: ScenarioResult, out_dir: Path, fmt: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     if fmt == "json":
         path = out_dir / f"{result.name}_summary.json"
         path.write_text(json.dumps(_result_dict(result), indent=2) + "\n")
@@ -127,7 +135,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         text = json.dumps(records, indent=2) + "\n"
     print(text, end="")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
+        _make_dir(args.out)
         suffix = "json" if args.format == "json" else "csv"
         (args.out / f"{cfg.name}_sweep_{args.param}.{suffix}").write_text(text)
     return EXIT_OK
@@ -137,7 +145,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     for name, description in list_scenarios():
         print(f"{name:<8} {description}")
     if args.export is not None:
-        args.export.mkdir(parents=True, exist_ok=True)
+        _make_dir(args.export)
         for name, _ in list_scenarios():
             save_config(get_scenario(name), args.export / f"{name}.json")
         print(f"exported builtin configs to {args.export}")
@@ -154,7 +162,7 @@ def _cmd_reference(args: argparse.Namespace) -> int:
         )
     print(text, end="")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
+        _make_dir(args.out)
         suffix = "json" if args.format == "json" else "csv"
         (args.out / f"reference.{suffix}").write_text(text)
     return EXIT_OK

@@ -40,87 +40,14 @@ def undb(value_db: float) -> float:
 
 
 @dataclass(frozen=True)
-class HdConfig:
-    """Homodyne readout settings.
-
-    ``lo`` is the local-oscillator mode (carrier or the shifted carrier),
-    ``theta`` the locked LO phase, ``delta_theta`` a deterministic phase-lock
-    offset added to it, ``nu_mhz`` the electronic analysis frequency and
-    ``efficiency`` the detection efficiency applied as a loss channel on the
-    sideband pair before readout.
-    """
-
-    lo: ModeLabel
-    theta: float
-    nu_mhz: float
-    delta_theta: float = 0.0
-    efficiency: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("detection efficiency must be in [0, 1]")
-        if self.nu_mhz < 0:
-            raise ValueError("analysis frequency must be non-negative")
-
-
-@dataclass(frozen=True)
-class NoisePowerResult:
-    """Homodyne noise power with its branch breakdown.
-
-    ``plus_variance`` / ``minus_variance`` are the two sideband-combination
-    variances entering with weights cos^2 / sin^2 of the effective phase;
-    ``cross_term`` collects X-P cross correlations (zero for the states built
-    here); ``vacuum_filled`` lists sideband modes that were absent from the
-    input state and entered as vacuum.
-    """
-
-    value: float
-    value_db: float
-    plus_variance: float
-    minus_variance: float
-    plus_weight: float
-    minus_weight: float
-    cross_term: float
-    vacuum_filled: tuple[ModeLabel, ...]
-
-
-@dataclass(frozen=True)
 class DetectedPair:
-    """The sideband pair at lo +- nu of one state, after detection loss.
-
-    Everything the phase-weighted readout needs, so one reduction serves
-    every LO phase: ``plus_variance``, ``minus_variance`` and ``cross_term``
-    as in :class:`NoisePowerResult`.  For a degenerate readout (nu = 0) they
-    are the lossy LO mode's X and P variances and twice their covariance.
-    """
+    """The sideband pair at lo +- nu of one state, after detection loss: the
+    two sideband-combination variances, read with weights cos^2 / sin^2 of
+    the LO phase, and their X-P cross term, so one reduction serves every phase."""
 
     plus_variance: float
     minus_variance: float
     cross_term: float
-    vacuum_filled: tuple[ModeLabel, ...]
-
-    def power(self, theta_eff: float):
-        """cos^2 plus + sin^2 minus + sin cos cross at the effective LO phase,
-        as plus + sin^2 (minus - plus) + ..., so a phase-insensitive pair reads
-        the same at every phase bit for bit; an array for array fields."""
-        ct, st = math.cos(theta_eff), math.sin(theta_eff)
-        plus = self.plus_variance
-        return plus + st * st * (self.minus_variance - plus) + st * ct * self.cross_term
-
-    def noise_power(self, theta_eff: float) -> NoisePowerResult:
-        """Noise power at the effective LO phase, with its branch breakdown."""
-        value = float(self.power(theta_eff))
-        ct, st = math.cos(theta_eff), math.sin(theta_eff)
-        return NoisePowerResult(
-            value=value,
-            value_db=db(value),
-            plus_variance=self.plus_variance,
-            minus_variance=self.minus_variance,
-            plus_weight=ct * ct,
-            minus_weight=st * st,
-            cross_term=self.cross_term,
-            vacuum_filled=self.vacuum_filled,
-        )
 
     def gains(self, theta_eff: float) -> tuple[float, float]:
         """Gains (a, b) at the effective LO phase of this pair taken as a
@@ -149,15 +76,8 @@ def detect_pair(
     exactly the situation of a frequency-shifted state read out with the
     unshifted LO.  Detection efficiency acts as a loss channel on the pair.
     """
-    if nu_mhz < 0:
-        raise ValueError("analysis frequency must be non-negative")
-    if nu_mhz == 0:
-        # Degenerate readout: the noise power is the single rotated quadrature.
-        missing = () if lo in state.modes else (lo,)
-        work = add_vacuum_modes(state, missing)
-        c = apply_uniform_loss(partial_trace(work, (lo,)), efficiency).cov
-        return DetectedPair(float(c[0, 0]), float(c[1, 1]), float(2.0 * c[0, 1]), missing)
-
+    if not nu_mhz > 0:
+        raise ValueError(f"analysis frequency must be positive, got {nu_mhz}")
     lower = lo.shifted_mhz(-nu_mhz)
     upper = lo.shifted_mhz(nu_mhz)
     missing = tuple(m for m in (lower, upper) if m not in state.modes)
@@ -175,18 +95,15 @@ def detect_pair(
         float(0.5 * (var_x_plus + var_p_minus)),
         float(0.5 * (var_x_minus + var_p_plus)),
         float(c[2, 1] + c[0, 3]),
-        missing,
     )
 
 
-def hd_noise_power(state: GaussianState, cfg: HdConfig) -> NoisePowerResult:
-    """Noise power of the sideband pair at cfg.lo +- cfg.nu, in SNL units.
-
-    The one-phase case of :func:`detect_pair` and
-    :meth:`DetectedPair.noise_power`.
-    """
-    pair = detect_pair(state, cfg.lo, cfg.nu_mhz, cfg.efficiency)
-    return pair.noise_power(cfg.theta + cfg.delta_theta)
+def hd_noise_power(
+    state: GaussianState, lo: ModeLabel, nu_mhz: float, theta_eff: float, efficiency: float = 1.0
+) -> float:
+    """Noise power of the sideband pair at lo +- nu_mhz, in SNL units, at the
+    effective LO phase ``theta_eff`` (locked phase plus lock offset)."""
+    return 1.0 + detect_pair(state, lo, nu_mhz, efficiency).gains(theta_eff)[0]
 
 
 def variance_from_r(r: float, eta: float, branch: str) -> float:

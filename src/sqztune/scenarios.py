@@ -186,6 +186,10 @@ class HdSpec:
                 raise ConfigError(f"hd {name} must be a list of numbers, got {values!r}")
             for value in values:
                 _check_real("hd", name, value)
+        for theta in self.thetas_rad:
+            # Output labels carry the phase in whole degrees.
+            if not math.isfinite(math.degrees(theta)):
+                raise ConfigError(f"hd thetas_rad {theta!r} is too large to express in degrees")
         _check_real("hd", "delta_theta_rad", self.delta_theta_rad)
         _check_real("hd", "efficiency", self.efficiency, 0.0, 1.0)
 
@@ -1069,7 +1073,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read as UTF-8 text: {exc}") from None
     return scenario_from_dict(data)

@@ -1,4 +1,18 @@
+import warnings
+
 import numpy as np
+
+# On a failing property, hypothesis' pytest plugin imports this module to
+# suggest a patch; its libcst import raises a DeprecationWarning, which the
+# suite's "error" warning filter would turn into an abort of the whole run.
+# Importing it once here, with that warning ignored, lets the failure be
+# reported like any other.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 from sqztune.gaussian_core import (
     GaussianState,

@@ -18,11 +18,9 @@ from sqztune.gaussian_core import (
     ModeLabel,
     apply_loss,
     phase_rotation,
-    squeezer,
     symplectic_eigenvalues,
     symplectic_form,
     symplectic_from_unitary,
-    two_mode_squeezer,
 )
 from sqztune.homodyne import (
     ANTISQUEEZED,
@@ -251,34 +249,26 @@ def test_criterion_8a_uncertainty_on_random_chains():
 
 
 def test_criterion_8b_symplectic_form_preserved():
+    # The shipped frequency shifters: AOM and tuner pair blocks on random
+    # disjoint mode pairs, one block-diagonal op each, as _couple_pairs builds them.
     rng = np.random.default_rng(80802)
-    modes = (ModeLabel(0), ModeLabel.from_mhz(1.0), ModeLabel.from_mhz(2.0))
+    modes = tuple(ModeLabel.from_mhz(m) for m in (0.0, 1.0, 2.0, 3.0))
     worst = 0.0
     for _ in range(1000):
-        n = int(rng.integers(1, 4))
+        n = int(rng.integers(2, 5))
         total = np.eye(2 * n)
         for _ in range(int(rng.integers(1, 5))):
-            kind = int(rng.integers(0, 4))
-            if kind == 0:
-                mode = int(rng.integers(0, n))
-                op = squeezer(rng.uniform(0, 1.5), modes[mode])
-                full = np.eye(2 * n)
-                full[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = op.matrix
-            elif kind == 1:
-                mode = int(rng.integers(0, n))
-                op = phase_rotation(rng.uniform(0, 2 * np.pi), modes[mode])
-                full = np.eye(2 * n)
-                full[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = op.matrix
-            elif kind == 2 and n >= 2:
-                op = two_mode_squeezer(rng.uniform(0, 1.2), modes[0], modes[1])
-                full = np.eye(2 * n)
-                full[:4, :4] = op.matrix
+            if rng.uniform() < 0.5:
+                angle = rng.uniform(0, np.pi / 2)
+                u = aom_unitary(math.cos(angle), math.sin(angle))
             else:
-                mode = int(rng.integers(0, n))
-                u = np.exp(1j * rng.uniform(0, 2 * np.pi))
-                op = symplectic_from_unitary(np.array([[u]]), (modes[mode],))
-                full = np.eye(2 * n)
-                full[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = op.matrix
+                u = abi_ideal_unitary(rng.uniform(0, 2 * np.pi))
+            n_pairs = int(rng.integers(1, n // 2 + 1))
+            order = rng.permutation(n)[: 2 * n_pairs]
+            op = symplectic_from_unitary(np.kron(np.eye(n_pairs), u), [modes[i] for i in order])
+            quads = [q for i in order for q in (2 * i, 2 * i + 1)]
+            full = np.eye(2 * n)
+            full[np.ix_(quads, quads)] = op.matrix
             total = full @ total
         j = symplectic_form(n)
         worst = max(worst, float(np.max(np.abs(total @ j @ total.T - j))))

@@ -46,6 +46,20 @@ class TestRun:
         assert main(["run", "fig9z"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, command, kind):
+        config = tmp_path / "config.json"
+        if kind == "directory":
+            config.mkdir()
+        else:
+            config.write_bytes(json.dumps(scenario_to_dict(get_scenario("fig4a"))).encode("utf-16"))
+        extra = ["--param", "pump_mw", "--values", "450"] if command == "sweep" else []
+        assert main([command, str(config), "--mode", "analytic", *extra]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: config file {config} cannot be read" in err
+        assert "Traceback" not in err
+
     def test_config_file_run(self, tmp_path, capsys):
         path = tmp_path / "custom.json"
         save_config(get_scenario("fig4a"), path)
@@ -79,12 +93,13 @@ class TestRun:
             ("fig5b", ("chain", 2, "visibility"), float("nan")),
             ("fig4a", ("chain", -1, "thetas_rad"), [float("nan")]),
             ("fig4a", ("chain", -1, "thetas_rad"), ["a"]),
+            ("fig4a", ("chain", -1, "thetas_rad"), [1e308]),
             ("fig4a", ("chain", -1, "delta_theta_rad"), float("nan")),
             ("fig4a", ("chain", 0, "threshold_mw"), float("nan")),
             ("fig5b", ("chain", 2, "phi_rad"), float("inf")),
         ],
         ids=["loss-efficiency-1.5", "abi-visibility-nan", "theta-nan", "theta-str",
-             "delta-theta-nan", "opo-threshold-nan", "abi-phase-inf"],
+             "theta-inf-degrees", "delta-theta-nan", "opo-threshold-nan", "abi-phase-inf"],
     )
     def test_invalid_chain_spec_exits_2(self, tmp_path, capsys, builtin, path, value):
         data = scenario_to_dict(get_scenario(builtin))
@@ -411,3 +426,22 @@ class TestReference:
         assert main(["reference", "--out", str(tmp_path), "--format", "json"]) == 0
         data = json.loads((tmp_path / "reference.json").read_text())
         assert {entry["scenario"] for entry in data} == {"fig4a", "fig4b", "fig5a", "fig5b", "fig5c"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "fig4a", "--mode", "analytic", "--out"],
+        ["sweep", "fig4b", "--param", "pump_mw", "--values", "450", "--mode", "analytic", "--out"],
+        ["list", "--export"],
+        ["reference", "--out"],
+    ],
+    ids=["run", "sweep", "list", "reference"],
+)
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "taken"
+    target.write_text("")
+    assert main([*argv, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot use {str(target)!r} as an output directory" in err
+    assert "Traceback" not in err

@@ -13,7 +13,6 @@ from sqztune.gaussian_core import (
 from sqztune.homodyne import (
     ANTISQUEEZED,
     SQUEEZED,
-    HdConfig,
     asymmetric_beat_noise,
     db,
     detect_pair,
@@ -73,30 +72,24 @@ class TestHdNoisePower:
     def test_vacuum_gives_exact_snl(self):
         state = vacuum_state([LOWER, UPPER])
         for theta in (0.0, 0.3, np.pi / 2, 2.1):
-            res = hd_noise_power(state, HdConfig(lo=CARRIER, theta=theta, nu_mhz=1.55))
-            assert res.value == 1.0
-            assert res.value_db == 0.0
+            value = hd_noise_power(state, CARRIER, 1.55, theta)
+            assert value == 1.0
+            assert db(value) == 0.0
 
     def test_reference_squeezing_with_lock_offset(self):
         # P=450 mW, total efficiency 0.708, theta=0, offset 6 deg, nu=1.55 MHz
         state = opo_sideband_state(OpoParams(450.0), 1.55)
-        cfg = HdConfig(
-            lo=CARRIER, theta=0.0, nu_mhz=1.55, delta_theta=OFFSET_6DEG, efficiency=0.708
-        )
-        res = hd_noise_power(state, cfg)
-        assert res.value == pytest.approx(0.48113317381258136, rel=1e-12)
-        assert res.value_db == pytest.approx(-3.1773469774916565, abs=1e-9)
+        value = hd_noise_power(state, CARRIER, 1.55, OFFSET_6DEG, efficiency=0.708)
+        assert value == pytest.approx(0.48113317381258136, rel=1e-12)
+        assert db(value) == pytest.approx(-3.1773469774916565, abs=1e-9)
         # measured value lands at -3.02 +- 0.02; the model must sit within 0.35
-        assert res.value_db == pytest.approx(-3.02, abs=0.35)
+        assert db(value) == pytest.approx(-3.02, abs=0.35)
 
     def test_reference_antisqueezing_with_lock_offset(self):
         state = opo_sideband_state(OpoParams(450.0), 1.55)
-        cfg = HdConfig(
-            lo=CARRIER, theta=np.pi / 2, nu_mhz=1.55, delta_theta=OFFSET_6DEG, efficiency=0.708
-        )
-        res = hd_noise_power(state, cfg)
-        assert res.value_db == pytest.approx(11.531424168886064, abs=1e-9)
-        assert res.value_db == pytest.approx(11.64, abs=0.2)
+        value = hd_noise_power(state, CARRIER, 1.55, np.pi / 2 + OFFSET_6DEG, efficiency=0.708)
+        assert db(value) == pytest.approx(11.531424168886064, abs=1e-9)
+        assert db(value) == pytest.approx(11.64, abs=0.2)
 
     def test_matches_variance_formula_across_grid(self):
         # consistency oracle over a (pump, frequency) grid at 1e-9
@@ -106,10 +99,10 @@ class TestHdNoisePower:
                 state = apply_uniform_loss(opo_sideband_state(p, nu), 0.758)
                 total = 0.934 * 0.758
                 sq, anti = opo_variances(p, nu, total)
-                got_sq = hd_noise_power(state, HdConfig(lo=CARRIER, theta=0.0, nu_mhz=nu))
-                got_anti = hd_noise_power(state, HdConfig(lo=CARRIER, theta=np.pi / 2, nu_mhz=nu))
-                assert abs(got_sq.value - sq) < 1e-9
-                assert abs(got_anti.value - anti) < 1e-9
+                got_sq = hd_noise_power(state, CARRIER, nu, 0.0)
+                got_anti = hd_noise_power(state, CARRIER, nu, np.pi / 2)
+                assert abs(got_sq - sq) < 1e-9
+                assert abs(got_anti - anti) < 1e-9
 
     def test_matches_brute_force_on_random_states(self):
         rng = np.random.default_rng(17)
@@ -118,13 +111,13 @@ class TestHdNoisePower:
             lo = CARRIER
             nu = 1.0
             theta = rng.uniform(0, 2 * np.pi)
-            res = hd_noise_power(state, HdConfig(lo=lo, theta=theta, nu_mhz=nu))
+            value = hd_noise_power(state, lo, nu, theta)
             from sqztune.gaussian_core import add_vacuum_modes, partial_trace
 
             lower, upper = lo.shifted_mhz(-nu), lo.shifted_mhz(nu)
             missing = [m for m in (lower, upper) if m not in state.modes]
             pair = partial_trace(add_vacuum_modes(state, missing), (lower, upper))
-            assert res.value == pytest.approx(brute_force_noise(pair.cov, theta), rel=1e-10)
+            assert value == pytest.approx(brute_force_noise(pair.cov, theta), rel=1e-10)
 
     def test_cross_correlations_enter_at_intermediate_phase(self):
         # rotating one arm of a squeezed pair creates X-P correlations across
@@ -132,25 +125,22 @@ class TestHdNoisePower:
         # quadratic form
         state = apply_symplectic(vacuum_state([LOWER, UPPER]), two_mode_squeezer(0.9, LOWER, UPPER))
         state = apply_symplectic(state, phase_rotation(0.6, UPPER))
-        res = hd_noise_power(state, HdConfig(lo=CARRIER, theta=0.7, nu_mhz=1.55))
-        assert res.cross_term != 0.0
+        value = hd_noise_power(state, CARRIER, 1.55, 0.7)
+        assert detect_pair(state, CARRIER, 1.55).cross_term != 0.0
         from sqztune.gaussian_core import partial_trace
 
         pair = partial_trace(state, (LOWER, UPPER))
-        assert res.value == pytest.approx(brute_force_noise(pair.cov, 0.7), rel=1e-12)
+        assert value == pytest.approx(brute_force_noise(pair.cov, 0.7), rel=1e-12)
 
     def test_theta_average_equals_branch_mean(self):
         rng = np.random.default_rng(23)
         thetas = np.linspace(0, 2 * np.pi, 4001)
         for _ in range(5):
             state = random_chain_state(rng)
-            values = [
-                hd_noise_power(state, HdConfig(lo=CARRIER, theta=t, nu_mhz=1.0)).value
-                for t in thetas
-            ]
+            values = [hd_noise_power(state, CARRIER, 1.0, t) for t in thetas]
             avg = np.trapezoid(values, thetas) / (2 * np.pi)
-            res = hd_noise_power(state, HdConfig(lo=CARRIER, theta=0.0, nu_mhz=1.0))
-            assert avg == pytest.approx((res.plus_variance + res.minus_variance) / 2, rel=1e-6)
+            pair = detect_pair(state, CARRIER, 1.0)
+            assert avg == pytest.approx((pair.plus_variance + pair.minus_variance) / 2, rel=1e-6)
 
     def test_loss_floor(self):
         rng = np.random.default_rng(31)
@@ -158,35 +148,19 @@ class TestHdNoisePower:
             state = random_chain_state(rng)
             eta = rng.uniform(0, 1)
             theta = rng.uniform(0, 2 * np.pi)
-            res = hd_noise_power(
-                state, HdConfig(lo=CARRIER, theta=theta, nu_mhz=1.0, efficiency=eta)
-            )
-            assert res.value >= 1.0 - eta - 1e-12
+            value = hd_noise_power(state, CARRIER, 1.0, theta, efficiency=eta)
+            assert value >= 1.0 - eta - 1e-12
 
     def test_missing_modes_fill_as_vacuum(self):
         state = apply_symplectic(vacuum_state([UPPER]), squeezer(1.0, UPPER))
-        res = hd_noise_power(state, HdConfig(lo=CARRIER, theta=0.0, nu_mhz=1.55))
-        assert res.vacuum_filled == (LOWER,)
-        far = hd_noise_power(state, HdConfig(lo=CARRIER, theta=0.0, nu_mhz=5.0))
-        assert far.value == 1.0
-        assert len(far.vacuum_filled) == 2
-
-    def test_zero_frequency_reads_single_quadrature(self):
-        r = 0.8
-        state = apply_symplectic(vacuum_state([CARRIER]), squeezer(r, CARRIER))
-        res = hd_noise_power(state, HdConfig(lo=CARRIER, theta=0.0, nu_mhz=0.0))
-        assert res.value == pytest.approx(np.exp(-2 * r), rel=1e-12)
+        far = hd_noise_power(state, CARRIER, 5.0, 0.0)
+        assert far == 1.0
 
     def test_lock_offset_degrades_squeezing(self):
         state = opo_sideband_state(OpoParams(450.0), 1.55)
-        perfect = hd_noise_power(
-            state, HdConfig(lo=CARRIER, theta=0.0, nu_mhz=1.55, efficiency=0.708)
-        )
-        offset = hd_noise_power(
-            state,
-            HdConfig(lo=CARRIER, theta=0.0, nu_mhz=1.55, delta_theta=OFFSET_6DEG, efficiency=0.708),
-        )
-        assert offset.value > perfect.value
+        perfect = hd_noise_power(state, CARRIER, 1.55, 0.0, efficiency=0.708)
+        offset = hd_noise_power(state, CARRIER, 1.55, OFFSET_6DEG, efficiency=0.708)
+        assert offset > perfect
 
 
 class TestDetectedPair:
@@ -196,19 +170,14 @@ class TestDetectedPair:
 
     def assert_same_readout(self, state, lo, nu, eta, delta):
         pair = detect_pair(state, lo, nu, eta)
-        got = [pair.noise_power(theta + delta) for theta in self.THETAS]
-        expected = [
-            hd_noise_power(
-                state, HdConfig(lo=lo, theta=theta, nu_mhz=nu, delta_theta=delta, efficiency=eta)
-            )
-            for theta in self.THETAS
-        ]
-        assert got == expected  # every field, exactly
+        got = [1.0 + pair.gains(theta + delta)[0] for theta in self.THETAS]
+        expected = [hd_noise_power(state, lo, nu, theta + delta, eta) for theta in self.THETAS]
+        assert got == expected  # exactly
 
-    @pytest.mark.parametrize("nu", [1.0, 0.0, 2.0, 5.0], ids=["pair", "degenerate", "edge", "far"])
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 5.0], ids=["pair", "edge", "far"])
     def test_phase_list_equals_per_phase_readout(self, nu):
         # MODE_POOL holds -2..2 MHz: lo +- 2 and lo +- 5 leave members to
-        # vacuum fill, and nu = 0 reads the LO mode alone (or vacuum).
+        # vacuum fill.
         rng = np.random.default_rng(41)
         for _ in range(30):
             state = random_chain_state(rng)
@@ -217,14 +186,12 @@ class TestDetectedPair:
 
     def test_missing_sideband_modes_fill_as_vacuum(self):
         state = apply_symplectic(vacuum_state([UPPER]), squeezer(1.0, UPPER))
-        assert detect_pair(state, CARRIER, 1.55).vacuum_filled == (LOWER,)
-        assert detect_pair(state, LOWER, 0.0).vacuum_filled == (LOWER,)
         self.assert_same_readout(state, CARRIER, 1.55, 0.8, 0.1)
-        self.assert_same_readout(state, LOWER, 0.0, 0.8, 0.1)
 
     def test_negative_frequency_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            detect_pair(vacuum_state([CARRIER]), CARRIER, -1.0)
+        for nu in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                detect_pair(vacuum_state([CARRIER]), CARRIER, nu)
 
     def test_gains_of_the_bare_source_pair(self):
         # The response of an empty chain is the source pair itself (vs = 2,
@@ -312,19 +279,14 @@ class TestAsymmetricBeatNoise:
             state = apply_uniform_loss(state, eta)
             # recover r the way the measurement procedure does: from the
             # antisqueezing seen by the matched (shifted) LO
-            anti = hd_noise_power(state, HdConfig(lo=shift, theta=np.pi / 2, nu_mhz=1.55))
-            r_eff = r_from_antisqueezing(db(anti.value), eta)
-            beat = hd_noise_power(
-                state, HdConfig(lo=CARRIER, theta=rng.uniform(0, np.pi), nu_mhz=81.55)
-            )
-            assert beat.value == pytest.approx(asymmetric_beat_noise(r_eff, eta), abs=1e-9)
+            anti = hd_noise_power(state, shift, 1.55, np.pi / 2)
+            r_eff = r_from_antisqueezing(db(anti), eta)
+            beat = hd_noise_power(state, CARRIER, 81.55, rng.uniform(0, np.pi))
+            assert beat == pytest.approx(asymmetric_beat_noise(r_eff, eta), abs=1e-9)
 
     def test_phase_insensitive(self):
         pair = (ModeLabel.from_mhz(78.45), ModeLabel.from_mhz(81.55))
         state = apply_symplectic(vacuum_state(pair), two_mode_squeezer(1.49, *pair))
         state = apply_uniform_loss(state, 0.439)
-        values = [
-            hd_noise_power(state, HdConfig(lo=CARRIER, theta=t, nu_mhz=81.55)).value
-            for t in (0.0, np.pi / 2, 1.234)
-        ]
+        values = [hd_noise_power(state, CARRIER, 81.55, t) for t in (0.0, np.pi / 2, 1.234)]
         assert max(values) - min(values) < 1e-12

@@ -14,7 +14,7 @@ from sqztune.gaussian_core import (
     symplectic_from_unitary,
     vacuum_state,
 )
-from sqztune.homodyne import HdConfig, hd_noise_power
+from sqztune.homodyne import hd_noise_power
 from sqztune.optics_components import (
     OpoParams,
     abi_efficiency,
@@ -122,10 +122,8 @@ class TestOpoSidebandState:
         p = OpoParams(450.0, escape_efficiency=0.934)
         state = opo_sideband_state(p, 1.55)
         sq, anti = opo_variances(p, 1.55, 0.934)
-        cfg = HdConfig(lo=CARRIER, theta=0.0, nu_mhz=1.55)
-        assert hd_noise_power(state, cfg).value == pytest.approx(sq, rel=1e-12)
-        cfg = HdConfig(lo=CARRIER, theta=np.pi / 2, nu_mhz=1.55)
-        assert hd_noise_power(state, cfg).value == pytest.approx(anti, rel=1e-12)
+        assert hd_noise_power(state, CARRIER, 1.55, 0.0) == pytest.approx(sq, rel=1e-12)
+        assert hd_noise_power(state, CARRIER, 1.55, np.pi / 2) == pytest.approx(anti, rel=1e-12)
 
     def test_state_is_physical(self):
         for pump in (50.0, 450.0, 900.0):
@@ -137,8 +135,7 @@ class TestOpoSidebandState:
         p_full = OpoParams(450.0, escape_efficiency=0.934)
         state = apply_uniform_loss(opo_sideband_state(p_full, 1.55), 0.758)
         sq, anti = opo_variances(p_full, 1.55, 0.934 * 0.758)
-        cfg = HdConfig(lo=CARRIER, theta=0.0, nu_mhz=1.55)
-        assert hd_noise_power(state, cfg).value == pytest.approx(sq, abs=1e-12)
+        assert hd_noise_power(state, CARRIER, 1.55, 0.0) == pytest.approx(sq, abs=1e-12)
 
     def test_zero_detuning_rejected(self):
         with pytest.raises(ValueError, match="nu"):
@@ -275,9 +272,8 @@ class TestAbi:
         out = ideal_abi(state)
         assert ModeLabel.from_mhz(78.45) in out.modes
         assert ModeLabel.from_mhz(81.55) in out.modes
-        cfg = HdConfig(lo=SHIFTED, theta=0.0, nu_mhz=1.55)
         sq, _ = opo_variances(OpoParams(450.0), 1.55, 0.934)
-        assert hd_noise_power(out, cfg).value == pytest.approx(sq, rel=1e-12)
+        assert hd_noise_power(out, SHIFTED, 1.55, 0.0) == pytest.approx(sq, rel=1e-12)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 from conftest import mc_target_psd
 from sqztune import scenarios, timeseries
 from sqztune.gaussian_core import ModeLabel
-from sqztune.homodyne import HdConfig, db, hd_noise_power
+from sqztune.homodyne import db, hd_noise_power
 from sqztune.scenarios import (
     BUILTIN_SCENARIOS,
     REFERENCE_TABLE,
@@ -345,8 +345,8 @@ class TestChainResponse:
         rows = run_scenario(cfg, mode="analytic").rows
         assert len(rows) == len(states) * len(hd.thetas_rad) * len(hd.analysis_mhz)
         for row in rows:
-            readout = HdConfig(lo, row.theta_rad, row.analysis_mhz, hd.delta_theta_rad, hd.efficiency)
-            expected = hd_noise_power(states[row.pump_mw], readout).value
+            theta_eff = row.theta_rad + hd.delta_theta_rad
+            expected = hd_noise_power(states[row.pump_mw], lo, row.analysis_mhz, theta_eff, hd.efficiency)
             assert row.analytic_linear == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
