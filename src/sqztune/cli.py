@@ -7,6 +7,7 @@ failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -101,21 +102,34 @@ def _make_dir(path: Path) -> None:
         raise ConfigError(f"cannot use {str(path)!r} as an output directory: {exc}") from None
 
 
+@contextlib.contextmanager
+def _writing_into(path: Path):
+    """Turn an OSError of a write inside output directory ``path`` into a
+    config error naming the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output into {str(path)!r}: {exc}") from None
+
+
 def _write_outputs(result: ScenarioResult, out_dir: Path, fmt: str) -> None:
-    _make_dir(out_dir)
-    if fmt == "json":
-        path = out_dir / f"{result.name}_summary.json"
-        path.write_text(json.dumps(_result_dict(result), indent=2) + "\n")
-    else:
-        path = out_dir / f"{result.name}_summary.csv"
-        path.write_text(summary_csv(result))
-    write_spectra_csv(
-        [(spectrum, out_dir / f"{result.name}_{key}.csv") for key, spectrum in result.spectra.items()]
-    )
+    with _writing_into(out_dir):
+        if fmt == "json":
+            path = out_dir / f"{result.name}_summary.json"
+            path.write_text(json.dumps(_result_dict(result), indent=2) + "\n")
+        else:
+            path = out_dir / f"{result.name}_summary.csv"
+            path.write_text(summary_csv(result))
+        write_spectra_csv(
+            [(spectrum, out_dir / f"{result.name}_{key}.csv")
+             for key, spectrum in result.spectra.items()]
+        )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_scenario(args.scenario)
+    if args.out is not None:
+        _make_dir(args.out)  # before the work, which an unusable path would waste
     result = run_scenario(cfg, mode=args.mode, seed=args.seed)
     _print_result(result)
     if args.out is not None:
@@ -129,15 +143,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"--values must be a comma-separated number list, got {args.values!r}")
+    if args.out is not None:
+        _make_dir(args.out)
     records = sweep(cfg, args.param, values, mode=args.mode, seed=args.seed)
     text = sweep_csv(records)
     if args.format == "json":
         text = json.dumps(records, indent=2) + "\n"
     print(text, end="")
     if args.out is not None:
-        _make_dir(args.out)
         suffix = "json" if args.format == "json" else "csv"
-        (args.out / f"{cfg.name}_sweep_{args.param}.{suffix}").write_text(text)
+        with _writing_into(args.out):
+            (args.out / f"{cfg.name}_sweep_{args.param}.{suffix}").write_text(text)
     return EXIT_OK
 
 
@@ -146,13 +162,16 @@ def _cmd_list(args: argparse.Namespace) -> int:
         print(f"{name:<8} {description}")
     if args.export is not None:
         _make_dir(args.export)
-        for name, _ in list_scenarios():
-            save_config(get_scenario(name), args.export / f"{name}.json")
+        with _writing_into(args.export):
+            for name, _ in list_scenarios():
+                save_config(get_scenario(name), args.export / f"{name}.json")
         print(f"exported builtin configs to {args.export}")
     return EXIT_OK
 
 
 def _cmd_reference(args: argparse.Namespace) -> int:
+    if args.out is not None:
+        _make_dir(args.out)
     text = emit_reference()
     if args.format == "json":
         from .scenarios import REFERENCE_TABLE
@@ -162,9 +181,9 @@ def _cmd_reference(args: argparse.Namespace) -> int:
         )
     print(text, end="")
     if args.out is not None:
-        _make_dir(args.out)
         suffix = "json" if args.format == "json" else "csv"
-        (args.out / f"reference.{suffix}").write_text(text)
+        with _writing_into(args.out):
+            (args.out / f"reference.{suffix}").write_text(text)
     return EXIT_OK
 
 

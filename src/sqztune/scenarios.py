@@ -624,42 +624,48 @@ def _noise_spectra(
 
 
 def _evaluate(cfg: ScenarioConfig, pairs: Sequence[DetectedPair], pump: float,
-              thetas: Sequence[float], delta_theta: float, eta: float, analytic: bool, mc=None):
-    """(values, spectra) of one pump point at the LO phases ``thetas``, lock
+              thetas: Sequence[float], delta_theta: float, eta: float, analytic: bool,
+              freqs=None):
+    """(values, models) of one pump point at the LO phases ``thetas``, lock
     offset ``delta_theta`` and detection efficiency ``eta``, read through
     :func:`_response_pairs`.  values[i][j] is the analytic noise at thetas[i]
-    in band j (None unless ``analytic``).  ``mc`` is None or (acq, noise,
-    bins, stream), noise being the 'snl' and 'electronic' spectra over grid
-    bins ``bins``; spectra[i] is then the (raw, corrected) estimate at
-    thetas[i] over those bins.
+    in band j (None unless ``analytic``).  ``freqs`` is None or the grid
+    frequencies the Monte-Carlo spectra cover; models[i] is then the noise
+    model at thetas[i], its target tabulated on ``freqs``.
+
+    A model hands its tabulated target over to the first ``target_psd`` call
+    and keeps no reference, so the array is freed once ``target_psd`` has
+    added the floor to it; no other reference to it outlives this call.
     """
     opo = _opo_params(cfg, pump)  # checked on every path
     gains = [[pair.gains(theta + delta_theta) for pair in pairs] for theta in thetas]
-    values = spectra = None
+    values = models = None
     if analytic:
         centre = _source_excess(opo, cfg.source_detuning_mhz)
         values = [[_readout(centre, g, eta) for g in row] for row in gains]
-    if mc is not None:
-        acq, noise, bins, stream = mc
-        # Each target is tabulated on the noise spectra's bins, which are the
-        # bins simulate_spectra reads.  simulate_spectra asks each model for
-        # its target once; the model hands the tabulated array over and keeps
-        # no reference, so the array is freed once target_psd has added the
-        # floor to it.
+    if freqs is not None:
         models = [
-            NoiseModel(lambda freqs, held=[target]: held.pop(), cfg.electronic_floor,
+            NoiseModel(lambda _, held=[target]: held.pop(), cfg.electronic_floor,
                        cfg.interference_tones)
-            for target in _mc_targets(cfg, opo, gains, eta, noise["snl"].freqs_mhz)
+            for target in _mc_targets(cfg, opo, gains, eta, freqs)
         ]
-        # Common random numbers across the LO phases of one pump point: phase
-        # comparisons then reflect the model, not draw-to-draw scatter.
-        spectra = []
-        for raw in simulate_spectra(models, acq, stream=stream, bins=bins):
-            try:
-                spectra.append((raw, calibrate(raw, noise["snl"], noise["electronic"])))
-            except ValueError as exc:
-                raise ConfigError(f"{exc} at {acq.rounds} rounds; raise acquisition.rounds") from None
-    return values, spectra
+    return values, models
+
+
+def _mc_spectra(models: Sequence[NoiseModel], acq: AcquisitionParams,
+                noise: dict[str, SpectrumEstimate], bins: slice, stream: int) -> list:
+    """The (raw, corrected) estimate of each model over grid bins ``bins``,
+    all drawn from ``stream`` and calibrated by the 'snl' and 'electronic'
+    spectra ``noise`` over the same bins.  The models share each round's
+    draws: common random numbers, so comparisons between them reflect the
+    model, not draw-to-draw scatter."""
+    spectra = []
+    for raw in simulate_spectra(models, acq, stream=stream, bins=bins):
+        try:
+            spectra.append((raw, calibrate(raw, noise["snl"], noise["electronic"])))
+        except ValueError as exc:
+            raise ConfigError(f"{exc} at {acq.rounds} rounds; raise acquisition.rounds") from None
+    return spectra
 
 
 def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None = None) -> ScenarioResult:
@@ -685,12 +691,14 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
 
     rows: list[ResultRow] = []
     for pump_index, pump in enumerate(cfg.pump_sweep_mw):
-        mc = None
-        if mode != "analytic" and pump in mc_pumps:
+        mc = mode != "analytic" and pump in mc_pumps
+        values, models = _evaluate(cfg, pairs, pump, thetas, hd.delta_theta_rad, hd.efficiency,
+                                   mode != "montecarlo", noise["snl"].freqs_mhz if mc else None)
+        estimates = None
+        if mc:
             # Streams stay independent across pumps and traces.
-            mc = (acq, noise, slice(None), _SIGNAL_STREAM_BASE + pump_index)
-        values, estimates = _evaluate(cfg, pairs, pump, thetas, hd.delta_theta_rad,
-                                      hd.efficiency, mode != "montecarlo", mc)
+            estimates = _mc_spectra(models, acq, noise, slice(None),
+                                    _SIGNAL_STREAM_BASE + pump_index)
         for i, theta in enumerate(thetas):
             if estimates is not None:
                 key = f"pump{pump:g}mW_{_theta_tag(theta)}"
@@ -772,8 +780,12 @@ def sweep(
     and detection efficiency of ``cfg``, one of them swept, and is checked
     as the config field it stands for.  No axis changes the chain and
     detection efficiency enters only the readout, so the response is
-    propagated and detected once.  Monte-Carlo spectra, the noise spectra
-    simulated once, cover only the analysis bands' bins.
+    propagated and detected once.  Monte-Carlo spectra cover only the
+    analysis bands' bins: the noise spectra are simulated once, and every
+    value's models (two LO phases each) share one signal stream, drawn once
+    in one :func:`simulate_spectra` call, so each value reads the draws its
+    own run would.  Memory grows by a few KB of band-only arrays per value,
+    which that call holds until its rounds end.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMETERS}")
@@ -785,14 +797,15 @@ def sweep(
     mode = _mode(cfg, mode)
     acq = _acquisition(cfg, seed)  # the seed is checked in every mode, as run_scenario does
     pairs = _response_pairs(cfg)
-    mc = None
+    freqs = None
     if mode != "analytic":
         bins = _analysis_bins(cfg, acq)
-        mc = (acq, _noise_spectra(cfg, acq, bins), bins, _SIGNAL_STREAM_BASE)
+        noise = _noise_spectra(cfg, acq, bins)
+        freqs = noise["snl"].freqs_mhz
 
-    records = []
+    values = [float(value) for value in values]
+    analytic, models = [], []
     for value in values:
-        value = float(value)
         pump, delta_theta, eta = cfg.pump_sweep_mw[0], hd.delta_theta_rad, hd.efficiency
         if parameter == "pump_mw":
             _check_real("scenario", "pump_sweep_mw", value, 0.0)
@@ -803,21 +816,27 @@ def sweep(
         else:
             _check_real("hd", "efficiency", value, 0.0, 1.0)
             eta = value
-        analytic, estimates = _evaluate(cfg, pairs, pump, (0.0, math.pi / 2), delta_theta, eta,
-                                        mode != "montecarlo", mc)
-        mc_db = None
-        if estimates is not None:
-            mc_db = [db(band_power(corrected, hd.analysis_mhz[0], acq.band_width_mhz))
-                     for _, corrected in estimates]
-        squeezed, antisqueezed = mc_db if analytic is None else [db(row[0]) for row in analytic]
+        rows, value_models = _evaluate(cfg, pairs, pump, (0.0, math.pi / 2), delta_theta, eta,
+                                       mode != "montecarlo", freqs)
+        analytic.append(rows)
+        models.extend(value_models or ())
+    mc_db = [None] * len(values)
+    if freqs is not None:
+        powers = [db(band_power(corrected, hd.analysis_mhz[0], acq.band_width_mhz))
+                  for _, corrected in _mc_spectra(models, acq, noise, bins, _SIGNAL_STREAM_BASE)]
+        mc_db = [powers[i:i + 2] for i in range(0, len(powers), 2)]
+
+    records = []
+    for value, rows, mc in zip(values, analytic, mc_db):
+        squeezed, antisqueezed = mc if rows is None else [db(row[0]) for row in rows]
         record = {
             "parameter": parameter,
             "value": value,
             "squeezed_db": squeezed,
             "antisqueezed_db": antisqueezed,
         }
-        if mc_db is not None:
-            record["squeezed_mc_db"], record["antisqueezed_mc_db"] = mc_db
+        if mc is not None:
+            record["squeezed_mc_db"], record["antisqueezed_mc_db"] = mc
         records.append(record)
     return records
 

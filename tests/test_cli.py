@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sqztune import cli
 from sqztune.cli import main
 from sqztune.scenarios import get_scenario, load_config, run_scenario, save_config, scenario_to_dict
 from sqztune.timeseries import spectrum_from_csv
@@ -445,3 +446,54 @@ def test_output_path_that_is_a_file_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert f"cannot use {str(target)!r} as an output directory" in err
     assert "Traceback" not in err
+
+
+def _fast_fig4a(tmp_path):
+    data = scenario_to_dict(get_scenario("fig4a"))
+    data["acquisition"].update(samples_per_round=4096, rounds=16, band_width_mhz=0.4)
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, taken",
+    [
+        (["run", "fig4a", "--mode", "analytic", "--out"], "fig4a_summary.csv"),
+        (["run", "FAST", "--mode", "montecarlo", "--out"], "fig4a_snl.csv"),
+        (["sweep", "fig4b", "--param", "pump_mw", "--values", "450", "--mode", "analytic", "--out"],
+         "fig4b_sweep_pump_mw.csv"),
+        (["list", "--export"], "fig4a.json"),
+        (["reference", "--out"], "reference.csv"),
+    ],
+    ids=["run-summary", "run-spectrum", "sweep", "list", "reference"],
+)
+def test_write_error_inside_output_dir_exits_2(tmp_path, capsys, argv, taken):
+    # A directory where an output file goes makes the write fail.
+    out_dir = tmp_path / "out"
+    (out_dir / taken).mkdir(parents=True)
+    argv = [_fast_fig4a(tmp_path) if arg == "FAST" else arg for arg in argv]
+    assert main([*argv, str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write output into {str(out_dir)!r}" in err
+    assert str(out_dir / taken) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["run", "fig4a", "--mode", "both", "--out"], "run_scenario"),
+        (["sweep", "fig4b", "--param", "pump_mw", "--values", "450", "--out"], "sweep"),
+    ],
+    ids=["run", "sweep"],
+)
+def test_unusable_output_path_exits_2_before_the_work(tmp_path, capsys, monkeypatch, argv, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the output path is checked before the work")
+
+    monkeypatch.setattr(cli, work, no_work)
+    target = tmp_path / "taken"
+    target.write_text("")
+    assert main([*argv, str(target)]) == 2
+    assert f"cannot use {str(target)!r} as an output directory" in capsys.readouterr().err

@@ -512,7 +512,13 @@ class TestRunScenario:
             sweep(cfg, "pump_mw", [450.0], mode="montecarlo", seed=1)
         assert run_scenario(cfg, mode="analytic").rows
 
-    def test_tabulated_targets_freed_before_the_rounds(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "run, targets",
+        [(lambda cfg: run_scenario(cfg, mode="both", seed=3), 2),
+         (lambda cfg: sweep(cfg, "pump_mw", [270.0, 450.0, 630.0], mode="both", seed=3), 6)],
+        ids=["run", "sweep"],
+    )
+    def test_tabulated_targets_freed_before_the_rounds(self, monkeypatch, run, targets):
         # simulate_spectra holds the totals target_psd builds from the
         # tabulated targets; the tabulated arrays must be gone by the rounds.
         tabulated, alive = [], []
@@ -530,8 +536,8 @@ class TestRunScenario:
         monkeypatch.setattr(scenarios, "_mc_targets", recording_targets)
         monkeypatch.setattr(timeseries, "_read_words", counting_read)
         cfg = fast(get_scenario("fig4a"))
-        run_scenario(cfg, mode="both", seed=3)
-        assert len(tabulated) == 2
+        run(cfg)
+        assert len(tabulated) == targets
         assert len(alive) == 3 * cfg.acquisition.rounds
         assert not any(alive)
 
@@ -594,16 +600,20 @@ class TestSweep:
         assert all(b < a for a, b in zip(squeezed, squeezed[1:]))
 
     @pytest.mark.parametrize(
-        "name, parameter, values",
-        [("fig4b", "pump_mw", [180.0, 612.5]), ("fig5c", "hd_efficiency", [0.7, 0.95]),
-         ("fig4a", "hd_efficiency", [0.5, 0.888]), ("fig5b", "pump_mw", [270.0, 450.0]),
-         ("fig5c", "delta_theta_rad", [-0.2, 0.1047])],
+        "name, tones, parameter, values",
+        [("fig4b", (), "pump_mw", [180.0, 612.5]), ("fig5c", (), "hd_efficiency", [0.7, 0.95]),
+         ("fig4a", (), "hd_efficiency", [0.5, 0.888]), ("fig5b", (), "pump_mw", [270.0, 450.0]),
+         ("fig5c", (), "delta_theta_rad", [-0.2, 0.1047]),
+         ("fig4b", ((5.0, 2.0),), "pump_mw", [180.0, 450.0, 612.5])],
+        ids=["fig4b-pump", "fig5c-efficiency", "fig4a-efficiency", "fig5b-pump", "fig5c-offset",
+             "fig4b-tone-pump"],
     )
-    def test_mc_columns_match_single_point_runs(self, name, parameter, values):
-        # The sweep simulates its noise spectra once, over the analysis band's
-        # bins only; every value must still read what its own whole-grid
-        # run_scenario call reads, bit for bit.
-        cfg = fast(get_scenario(name))
+    def test_mc_columns_match_single_point_runs(self, name, tones, parameter, values):
+        # The sweep simulates its noise spectra once and draws every value's
+        # signal in one call, over the analysis band's bins only; every value
+        # must still read what its own whole-grid run_scenario call reads, bit
+        # for bit.  With a tone, each value takes the toned branch.
+        cfg = fast(replace(get_scenario(name), interference_tones=tones))
         records = sweep(cfg, parameter, values, mode="both", seed=7)
         for record, value in zip(records, values):
             variant = replace(cfg, pump_sweep_mw=(cfg.pump_sweep_mw[0],), mc_pump_mw=None)
@@ -617,6 +627,22 @@ class TestSweep:
             by_theta = {round(math.degrees(row.theta_rad)): row.mc_db for row in rows}
             assert record["squeezed_mc_db"] == by_theta[0]
             assert record["antisqueezed_mc_db"] == by_theta[90]
+
+    @pytest.mark.parametrize("values", [[450.0], [90.0, 270.0, 450.0, 630.0]], ids=["1", "4"])
+    def test_sweep_reads_each_stream_once(self, monkeypatch, values):
+        # The SNL, electronic and signal streams: one read per round each,
+        # however many values share the signal stream.
+        reads = []
+        read_words = timeseries._read_words
+
+        def counting_read(*args):
+            reads.append(1)
+            return read_words(*args)
+
+        monkeypatch.setattr(timeseries, "_read_words", counting_read)
+        cfg = fast(get_scenario("fig4b"))
+        sweep(cfg, "pump_mw", values, mode="montecarlo", seed=5)
+        assert len(reads) == 3 * cfg.acquisition.rounds
 
     @pytest.mark.parametrize("name", ["fig4b", "fig5c"])
     @pytest.mark.parametrize(

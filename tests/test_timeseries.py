@@ -253,6 +253,45 @@ class TestDrawMap:
             simulate_spectrum(self.UNIT, BEAT, bins=bins)
 
 
+# Seeds whose uint32 word count changes (the loader accepts seeds up to 2**70).
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70]
+
+
+class TestRoundKeys:
+    """simulate_spectra's keys and re-keyed generator against numpy's SeedSequence."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**70)),
+        stream=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**40]), st.integers(0, 2**40)),
+        rounds=st.sampled_from([1, 2, timeseries._KEY_BLOCK - 1, timeseries._KEY_BLOCK + 1]),
+    )
+    def test_keys_equal_seed_sequence_state(self, seed, stream, rounds):
+        keys = np.array(list(timeseries._round_keys(seed, stream, rounds)), dtype=np.uint64)
+        assert keys.shape == (rounds, 2)
+        # Each block's first and last rounds and the stream's last round.
+        block = timeseries._KEY_BLOCK
+        picks = sorted({r for r in (0, 1, block - 1, block, rounds - 1) if r < rounds})
+        for r in picks:
+            expected = np.random.SeedSequence((seed, stream, r)).generate_state(2, np.uint64)
+            assert np.array_equal(keys[r], expected), (seed, stream, r)
+
+    @pytest.mark.parametrize("seed, stream", [(99, 7), (2**64, 2**40)])
+    def test_rekeyed_generator_reads_each_round_stream(self, seed, stream):
+        # Rounds read at word offsets across a 4-word Philox block, then leave
+        # a part-used block and a held 32-bit half word that the next round's
+        # re-keying must clear.
+        offsets = [0, 1, 3, 4, 5, 1001]
+        rngs = timeseries._round_generators(seed, stream, len(offsets))
+        for r, (start, rng) in enumerate(zip(offsets, rngs)):
+            words = np.empty(63)
+            timeseries._read_words(rng, [(start, 0, 30), (start + 40, 30, 63)], words)
+            expected = timeseries._round_rng(seed, stream, r).random(start + 73)
+            assert np.array_equal(words[:30], expected[start:start + 30])
+            assert np.array_equal(words[30:], expected[start + 40:])
+            rng.integers(2**31, dtype=np.uint32)
+
+
 class TestEstimateSpectrum:
     def test_zero_traces_give_zero_psd(self):
         traces = [np.zeros(SMALL.samples_per_round)]
