@@ -220,9 +220,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _starts_with_number(token: str) -> bool:
+    """True when the first entry of a comma-separated list is a number."""
+    try:
+        float(token.split(",")[0])
+    except ValueError:
+        return False
+    return True
+
+
+def _join_value_lists(argv: list[str]) -> list[str]:
+    """``--values LIST`` as ``--values=LIST`` when LIST starts with a negative
+    number: argparse reads a token that starts with '-' as an option unless
+    the whole token is one negative number."""
+    joined = []
+    for token in argv:
+        if joined[-1:] == ["--values"] and token.startswith("-") and _starts_with_number(token):
+            joined[-1] = f"--values={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_value_lists(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:

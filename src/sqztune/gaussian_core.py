@@ -74,9 +74,12 @@ def _check_modes(modes: Sequence[ModeLabel]) -> tuple[ModeLabel, ...]:
 
 
 def symplectic_form(n_modes: int) -> NDArray[np.float64]:
-    """Symplectic form J for n modes in interleaved (X1,P1,...) order."""
-    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), j2)
+    """Symplectic form J for n modes in interleaved (X1,P1,...) order: the
+    block [[0, 1], [-1, 0]] on each mode."""
+    j = np.zeros((2 * n_modes, 2 * n_modes))
+    j[0::2, 1::2] = np.eye(n_modes)
+    j[1::2, 0::2] = -np.eye(n_modes)
+    return j
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class GaussianState:
         n = len(modes)
         if cov.shape != (2 * n, 2 * n):
             raise ValueError(f"covariance shape {cov.shape} does not match {n} modes")
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
+        if np.abs(cov - cov.T).max() > SYMMETRY_TOL:
             raise ValueError("covariance matrix is not symmetric within tolerance")
         cov = (cov + cov.T) / 2.0
         cov.flags.writeable = False
@@ -141,7 +144,7 @@ class SymplecticOp:
         if mat.shape != (2 * n, 2 * n):
             raise ValueError(f"matrix shape {mat.shape} does not match {n} modes")
         j = symplectic_form(n)
-        if np.max(np.abs(mat @ j @ mat.T - j)) > SYMPLECTIC_TOL:
+        if np.abs(mat @ j @ mat.T - j).max() > SYMPLECTIC_TOL:
             raise ValueError("matrix is not symplectic within tolerance")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -165,10 +168,17 @@ def apply_uniform_loss(
     One step: the listed modes' rows, then their columns, are scaled by
     sqrt(eta) and 1 - eta is added to their diagonal.  Every entry sees the
     same operations in the same order as under one single-mode loss per mode.
+    On all modes that is the whole matrix, with no index lookups.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must be in [0, 1], got {eta}")
-    modes = state.modes if modes is None else tuple(modes)
+    if modes is None:
+        root = np.sqrt(eta)
+        cov = state.cov * root
+        cov *= root
+        cov.flat[:: len(cov) + 1] += 1.0 - eta
+        return GaussianState(state.modes, cov)
+    modes = tuple(modes)
     if len(set(modes)) != len(modes):
         raise ValueError(f"duplicate modes in {modes}")
     if not modes:
@@ -197,9 +207,8 @@ def quadrature_variance(state: GaussianState, mode: ModeLabel, theta: float) -> 
 def partial_trace(state: GaussianState, keep: Sequence[ModeLabel]) -> GaussianState:
     """Restrict the state to ``keep`` (in the given order), discarding the rest."""
     keep = _check_modes(keep)
-    positions = [state.index(m) for m in keep]
-    idx = np.concatenate([[2 * p, 2 * p + 1] for p in positions])
-    return GaussianState(keep, state.cov[np.ix_(idx, idx)])
+    idx = [2 * state.index(m) + q for m in keep for q in (0, 1)]
+    return GaussianState(keep, state.cov[idx][:, idx])
 
 
 def add_vacuum_modes(state: GaussianState, new_modes: Sequence[ModeLabel]) -> GaussianState:
@@ -267,7 +276,7 @@ def symplectic_from_unitary(
     n = u.shape[0]
     if u.shape != (n, n):
         raise ValueError("unitary must be square")
-    if np.max(np.abs(u @ u.conj().T - np.eye(n))) > 1e-12:
+    if np.abs(u @ u.conj().T - np.eye(n)).max() > 1e-12:
         raise ValueError("matrix is not unitary within tolerance")
     mat = np.zeros((2 * n, 2 * n))
     a, b = u.real, u.imag

@@ -22,8 +22,6 @@ from numpy.typing import NDArray
 from .gaussian_core import (
     GaussianState,
     ModeLabel,
-    add_vacuum_modes,
-    apply_symplectic,
     apply_uniform_loss,
     symplectic_from_unitary,
 )
@@ -70,7 +68,7 @@ class OpoParams:
             raise ValueError("escape efficiency must be in [0, 1]")
 
 
-def opo_variances(p: OpoParams, nu_mhz, eta: float):
+def opo_variances(p: OpoParams | Sequence[OpoParams], nu_mhz, eta: float):
     """Squeezed / antisqueezed sideband-pair variances in SNL units.
 
     Evaluates the Lorentzian-like below-threshold spectrum
@@ -79,20 +77,36 @@ def opo_variances(p: OpoParams, nu_mhz, eta: float):
         antisq.   = 1 + eta * 4x / ((1 - x)^2 + 4 (nu/nu0)^2)
 
     with x = sqrt(P/P_th).  ``eta`` is the overall efficiency seen by the
-    measurement; ``nu_mhz`` may be a scalar or an array (vectorized).
+    measurement; ``nu_mhz`` may be a scalar or an array (vectorized).  ``p``
+    may also be a sequence of sources, read at one scalar ``nu_mhz``: the
+    variances are then arrays over the sources, each equal to its own call.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("efficiency must be in [0, 1]")
     nu = np.asarray(nu_mhz, dtype=float)
-    if np.any(nu < 0):
+    if (nu < 0).any():
         raise ValueError("analysis frequency must be non-negative")
-    x = np.sqrt(p.pump_mw / p.threshold_mw)
-    detune = 4.0 * (nu / p.bandwidth_mhz) ** 2
-    squeezed = 1.0 - eta * 4.0 * x / ((1.0 + x) ** 2 + detune)
-    antisqueezed = 1.0 + eta * 4.0 * x / ((1.0 - x) ** 2 + detune)
-    if np.isscalar(nu_mhz) or np.ndim(nu_mhz) == 0:
+    if isinstance(p, OpoParams):
+        x, plus, minus, detune = _opo_terms(p, nu)
+    else:
+        if nu.ndim:
+            raise ValueError("a sequence of sources is read at one scalar detuning")
+        terms = np.array([_opo_terms(source, nu) for source in p], dtype=float)
+        x, plus, minus, detune = terms.reshape(-1, 4).T
+    squeezed = 1.0 - eta * 4.0 * x / (plus + detune)
+    antisqueezed = 1.0 + eta * 4.0 * x / (minus + detune)
+    if isinstance(p, OpoParams) and nu.ndim == 0:
         return float(squeezed), float(antisqueezed)
     return squeezed, antisqueezed
+
+
+def _opo_terms(p: OpoParams, nu):
+    """(x, (1 + x)^2, (1 - x)^2, 4 (nu/nu0)^2) of one source.  The squares
+    are scalar powers, taken per source: numpy squares an array by
+    multiplication, which differs from the scalar power in the last bit for
+    about one value in a thousand."""
+    x = np.sqrt(p.pump_mw / p.threshold_mw)
+    return x, (1.0 + x) ** 2, (1.0 - x) ** 2, 4.0 * (nu / p.bandwidth_mhz) ** 2
 
 
 def sideband_pair_state(vs: float, va: float, nu_mhz: float) -> GaussianState:
@@ -176,15 +190,26 @@ def _couple_pairs(
     Each mode of the state is the lower input of its own (delta, delta +
     shift) pair; partners missing from the state enter as vacuum.  A partner
     that is already a mode of the state would sit in two pairs, so it is
-    rejected.  All pairs act as one block-diagonal symplectic.
+    rejected.  ``u`` is converted and checked once, as the symplectic block
+    of one pair, and that block is placed on every pair: the block-diagonal
+    symplectic of all pairs holds nothing else and passes the same checks.
     """
-    uppers = tuple(m.shifted_mhz(shift_mhz) for m in state.modes)
-    overlap = [m for m in uppers if m in state.modes]
+    modes = state.modes
+    uppers = tuple(m.shifted_mhz(shift_mhz) for m in modes)
+    overlap = [m for m in uppers if m in modes]
     if overlap:
         raise ValueError(f"mode pairs overlap: {overlap[0]} is a mode and a shifted partner")
-    pair_modes = [m for pair in zip(state.modes, uppers) for m in pair]
-    op = symplectic_from_unitary(np.kron(np.eye(len(uppers)), u), pair_modes)
-    return apply_symplectic(add_vacuum_modes(state, uppers), op)
+    block = symplectic_from_unitary(u, (modes[0], uppers[0])).matrix
+    n = len(modes)
+    # Axes (lower/upper, pair, quadrature) of rows, then of columns: the
+    # partners are appended after the state's modes, in the same order.
+    full = np.zeros((2, n, 2, 2, n, 2))
+    pairs = np.arange(n)
+    full[:, pairs, :, :, pairs, :] = block.reshape(2, 2, 2, 2)
+    full = full.reshape(4 * n, 4 * n)
+    cov = np.eye(4 * n)
+    cov[: 2 * n, : 2 * n] = state.cov
+    return GaussianState(modes + uppers, full @ cov @ full.T)
 
 
 def apply_aom(state: GaussianState, t: float, r: float, shift_mhz: float) -> GaussianState:

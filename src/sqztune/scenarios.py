@@ -9,6 +9,10 @@ readout is linear in the source's excess noise: the homodyne noise is
 1 + eta ((vs - 1) a + (va - 1) b), with gains (a, b) per band and LO phase
 (:meth:`DetectedPair.gains`).  The analytic rows take it at the band-centre
 source excess, and the Monte-Carlo target spectrum at each grid bin's.
+The readout is elementwise in pump, detection efficiency and LO phase, so a
+run or sweep costs one propagation plus one array readout of all its pumps
+or values (:func:`_analytic_values`); only Monte-Carlo targets are built per
+pump point.
 
 Builtin scenarios (fig4a, fig4b, fig5a, fig5b, fig5c) reproduce the
 measured operating points: direct readout of the source state, the pump
@@ -24,6 +28,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -334,7 +339,7 @@ class ScenarioConfig:
         """Source sideband detuning feeding the analysis pair at this frequency."""
         return min(self._member_detunings(analysis_mhz))
 
-    @property
+    @cached_property
     def source_detuning_mhz(self) -> float:
         return self._source_detuning(self.hd.analysis_mhz[0])
 
@@ -541,10 +546,11 @@ def _response_pairs(cfg: ScenarioConfig) -> list[DetectedPair]:
     return [detect_pair(response, lo, analysis) for analysis in cfg.hd.analysis_mhz]
 
 
-def _source_excess(opo: OpoParams, detuning_mhz):
+def _source_excess(cfg: ScenarioConfig, opo, detuning_mhz):
     """The source's excess noise (vs - 1, va - 1) at these detunings, escape
-    efficiency folded in as in :func:`opo_sideband_state`."""
-    vs, va = opo_variances(opo, detuning_mhz, opo.escape_efficiency)
+    efficiency folded in as in :func:`opo_sideband_state`.  ``opo`` may be a
+    sequence of pump points at one detuning, which gives arrays over them."""
+    vs, va = opo_variances(opo, detuning_mhz, cfg.source.escape_efficiency)
     return vs - 1.0, va - 1.0
 
 
@@ -563,8 +569,24 @@ def analytic_noise(cfg: ScenarioConfig, pump_mw: float, theta: float, analysis_m
     to rounding."""
     hd = cfg.hd
     pair = detect_pair(chain_response(cfg), ModeLabel.from_mhz(hd.lo_offset_mhz), analysis_mhz)
-    excess = _source_excess(_opo_params(cfg, pump_mw), cfg.source_detuning_mhz)
+    excess = _source_excess(cfg, _opo_params(cfg, pump_mw), cfg.source_detuning_mhz)
     return _readout(excess, pair.gains(theta + hd.delta_theta_rad), hd.efficiency)
+
+
+def _analytic_values(cfg: ScenarioConfig, opos: Sequence[OpoParams], gains, eta) -> np.ndarray:
+    """Analytic noise of a run of points in one array pass, read at the
+    band-centre source excess.  The points run along the first axis of the
+    pump points ``opos``, of ``gains`` (an array whose last axis is (a, b))
+    and of the detection efficiency ``eta`` (a scalar or an array broadcast
+    against the gains); an axis of length 1 is shared by every point.  Each
+    entry equals the scalar readout bit for bit: the same IEEE operations on
+    the same operands."""
+    gains = np.asarray(gains, dtype=float)
+    a, b = gains[..., 0], gains[..., 1]
+    trailing = (1,) * (a.ndim - 1)
+    xs, xa = (x.reshape(-1, *trailing)
+              for x in _source_excess(cfg, opos, cfg.source_detuning_mhz))
+    return _readout((xs, xa), (a, b), eta)
 
 
 def _mc_targets(cfg: ScenarioConfig, opo: OpoParams, gains, eta: float, freqs) -> list:
@@ -577,7 +599,7 @@ def _mc_targets(cfg: ScenarioConfig, opo: OpoParams, gains, eta: float, freqs) -
     phase.
     """
     hd = cfg.hd
-    excess = _source_excess(opo, np.abs(freqs - abs(hd.lo_offset_mhz - cfg.total_shift_mhz)))
+    excess = _source_excess(cfg, opo, np.abs(freqs - abs(hd.lo_offset_mhz - cfg.total_shift_mhz)))
     order = np.argsort(hd.analysis_mhz)
     centres = np.array(hd.analysis_mhz)[order]
     band = order[np.searchsorted((centres[:-1] + centres[1:]) / 2.0, freqs)]
@@ -623,33 +645,20 @@ def _noise_spectra(
     }
 
 
-def _evaluate(cfg: ScenarioConfig, pairs: Sequence[DetectedPair], pump: float,
-              thetas: Sequence[float], delta_theta: float, eta: float, analytic: bool,
-              freqs=None):
-    """(values, models) of one pump point at the LO phases ``thetas``, lock
-    offset ``delta_theta`` and detection efficiency ``eta``, read through
-    :func:`_response_pairs`.  values[i][j] is the analytic noise at thetas[i]
-    in band j (None unless ``analytic``).  ``freqs`` is None or the grid
-    frequencies the Monte-Carlo spectra cover; models[i] is then the noise
-    model at thetas[i], its target tabulated on ``freqs``.
+def _mc_models(cfg: ScenarioConfig, opo: OpoParams, gains, eta: float, freqs) -> list:
+    """The Monte-Carlo noise model of each LO phase's gains (see
+    :func:`_mc_targets`), its target tabulated on the grid frequencies
+    ``freqs``.
 
     A model hands its tabulated target over to the first ``target_psd`` call
     and keeps no reference, so the array is freed once ``target_psd`` has
     added the floor to it; no other reference to it outlives this call.
     """
-    opo = _opo_params(cfg, pump)  # checked on every path
-    gains = [[pair.gains(theta + delta_theta) for pair in pairs] for theta in thetas]
-    values = models = None
-    if analytic:
-        centre = _source_excess(opo, cfg.source_detuning_mhz)
-        values = [[_readout(centre, g, eta) for g in row] for row in gains]
-    if freqs is not None:
-        models = [
-            NoiseModel(lambda _, held=[target]: held.pop(), cfg.electronic_floor,
-                       cfg.interference_tones)
-            for target in _mc_targets(cfg, opo, gains, eta, freqs)
-        ]
-    return values, models
+    return [
+        NoiseModel(lambda _, held=[target]: held.pop(), cfg.electronic_floor,
+                   cfg.interference_tones)
+        for target in _mc_targets(cfg, opo, gains, eta, freqs)
+    ]
 
 
 def _mc_spectra(models: Sequence[NoiseModel], acq: AcquisitionParams,
@@ -673,8 +682,9 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
     the whole grid, and pass/fail against the reference table.
 
     The chain is propagated once, as its response (:func:`chain_response`),
-    and detected once per analysis band; each pump is one :func:`_evaluate`
-    call.  The analytic values equal :func:`analytic_noise`.
+    and detected once per analysis band.  Every pump is checked before the
+    Monte-Carlo work; the analytic values of all pumps are one
+    :func:`_analytic_values` pass and equal :func:`analytic_noise`.
     """
     mode = _mode(cfg, mode)
     acq = _acquisition(cfg, seed)
@@ -688,14 +698,17 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
         _analysis_bins(cfg, acq)  # a band with no grid bin is a ConfigError here too
         noise = _noise_spectra(cfg, acq, slice(None))
         spectra.update(noise)
+    opos = [_opo_params(cfg, pump) for pump in cfg.pump_sweep_mw]  # checked on every path
+    gains = [[pair.gains(theta + hd.delta_theta_rad) for pair in pairs] for theta in thetas]
+    values = None
+    if mode != "montecarlo":
+        values = _analytic_values(cfg, opos, [gains], hd.efficiency).tolist()
 
     rows: list[ResultRow] = []
-    for pump_index, pump in enumerate(cfg.pump_sweep_mw):
-        mc = mode != "analytic" and pump in mc_pumps
-        values, models = _evaluate(cfg, pairs, pump, thetas, hd.delta_theta_rad, hd.efficiency,
-                                   mode != "montecarlo", noise["snl"].freqs_mhz if mc else None)
+    for pump_index, (pump, opo) in enumerate(zip(cfg.pump_sweep_mw, opos)):
         estimates = None
-        if mc:
+        if mode != "analytic" and pump in mc_pumps:
+            models = _mc_models(cfg, opo, gains, hd.efficiency, noise["snl"].freqs_mhz)
             # Streams stay independent across pumps and traces.
             estimates = _mc_spectra(models, acq, noise, slice(None),
                                     _SIGNAL_STREAM_BASE + pump_index)
@@ -704,7 +717,7 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
                 key = f"pump{pump:g}mW_{_theta_tag(theta)}"
                 spectra[f"{key}_raw"], spectra[f"{key}_corrected"] = estimates[i]
             for j, (analysis, sym) in enumerate(zip(bands, symmetric)):
-                analytic_linear = None if values is None else values[i][j]
+                analytic_linear = None if values is None else values[pump_index][i][j]
                 analytic_db = None if values is None else db(analytic_linear)
                 mc_db = None
                 if estimates is not None:
@@ -776,16 +789,19 @@ def sweep(
     Returns one record per value with the squeezed (theta = 0) and
     antisqueezed (theta = pi/2) noise in dB in the first analysis band;
     Monte-Carlo columns are filled when the effective mode includes it.
-    Each value is one :func:`_evaluate` call at the first pump, lock offset
-    and detection efficiency of ``cfg``, one of them swept, and is checked
-    as the config field it stands for.  No axis changes the chain and
-    detection efficiency enters only the readout, so the response is
-    propagated and detected once.  Monte-Carlo spectra cover only the
-    analysis bands' bins: the noise spectra are simulated once, and every
-    value's models (two LO phases each) share one signal stream, drawn once
-    in one :func:`simulate_spectra` call, so each value reads the draws its
-    own run would.  Memory grows by a few KB of band-only arrays per value,
-    which that call holds until its rounds end.
+    Each value stands at the first pump, lock offset and detection
+    efficiency of ``cfg``, one of them swept, and is checked in order as the
+    config field it stands for.  No axis changes the chain and detection
+    efficiency enters only the readout, so the response is propagated and
+    detected once, and the analytic columns of all values are one
+    :func:`_analytic_values` pass: the source excess is an array over the
+    pumps, or taken once on the other axes, and only the lock-offset axis
+    reads gains per value.  Monte-Carlo spectra cover only the analysis
+    bands' bins: the noise spectra are simulated once, and every value's
+    models (two LO phases each, built per value) share one signal stream,
+    drawn once in one :func:`simulate_spectra` call, so each value reads the
+    draws its own run would.  Memory grows by a few KB of band-only arrays
+    per value, which that call holds until its rounds end.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMETERS}")
@@ -804,31 +820,42 @@ def sweep(
         freqs = noise["snl"].freqs_mhz
 
     values = [float(value) for value in values]
-    analytic, models = [], []
+    opos = []  # the pump axis' own pump points, else the first pump's
     for value in values:
-        pump, delta_theta, eta = cfg.pump_sweep_mw[0], hd.delta_theta_rad, hd.efficiency
         if parameter == "pump_mw":
             _check_real("scenario", "pump_sweep_mw", value, 0.0)
-            pump = value
-        elif parameter == "delta_theta_rad":
+            opos.append(_opo_params(cfg, value))
+            continue
+        if parameter == "delta_theta_rad":
             _check_real("hd", "delta_theta_rad", value)
-            delta_theta = value
         else:
             _check_real("hd", "efficiency", value, 0.0, 1.0)
-            eta = value
-        rows, value_models = _evaluate(cfg, pairs, pump, (0.0, math.pi / 2), delta_theta, eta,
-                                       mode != "montecarlo", freqs)
-        analytic.append(rows)
-        models.extend(value_models or ())
+        if not opos:
+            opos.append(_opo_params(cfg, cfg.pump_sweep_mw[0]))
+    # The axes not swept hold one entry, which every value shares.
+    offsets = values if parameter == "delta_theta_rad" else [hd.delta_theta_rad]
+    etas = values if parameter == "hd_efficiency" else [hd.efficiency]
+    thetas = (0.0, math.pi / 2)
+
+    analytic_db = [None] * len(values)
+    if mode != "montecarlo":
+        gains = [[pairs[0].gains(theta + offset) for theta in thetas] for offset in offsets]
+        linear = _analytic_values(cfg, opos, gains, np.array(etas)[:, None])
+        analytic_db = [[db(x) for x in row] for row in linear.tolist()]
     mc_db = [None] * len(values)
     if freqs is not None:
+        models = []
+        for k in range(len(values)):
+            opo, offset, eta = (axis[k % len(axis)] for axis in (opos, offsets, etas))
+            gains = [[pair.gains(theta + offset) for pair in pairs] for theta in thetas]
+            models += _mc_models(cfg, opo, gains, eta, freqs)
         powers = [db(band_power(corrected, hd.analysis_mhz[0], acq.band_width_mhz))
                   for _, corrected in _mc_spectra(models, acq, noise, bins, _SIGNAL_STREAM_BASE)]
         mc_db = [powers[i:i + 2] for i in range(0, len(powers), 2)]
 
     records = []
-    for value, rows, mc in zip(values, analytic, mc_db):
-        squeezed, antisqueezed = mc if rows is None else [db(row[0]) for row in rows]
+    for value, analytic, mc in zip(values, analytic_db, mc_db):
+        squeezed, antisqueezed = mc if analytic is None else analytic
         record = {
             "parameter": parameter,
             "value": value,

@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,6 +406,29 @@ class TestSweep:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("values", ["-0.1,0,0.1047", "-.1,0,0.1047", "-1e-1,0.0,0.1047"])
+    def test_list_starting_negative_is_a_separate_argument(self, capsys, values):
+        argv = ["sweep", "fig4b", "--param", "delta_theta_rad", "--mode", "analytic"]
+        assert main(argv + [f"--values={values}"]) == 0
+        attached = capsys.readouterr().out
+        assert main(argv + ["--values", values]) == 0
+        assert capsys.readouterr().out == attached
+        rows = list(csv.reader(attached.splitlines()))[1:]
+        assert [row[1] for row in rows] == ["-0.1", "0.0", "0.1047"]
+
+    def test_list_starting_negative_infinity_exits_2(self, capsys):
+        argv = ["sweep", "fig4b", "--param", "delta_theta_rad", "--values", "-inf,0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: hd delta_theta_rad must be a finite number, got -inf" in err
+
+    @pytest.mark.parametrize("follower", ["--mode", "-h"])
+    def test_values_still_needs_its_argument(self, capsys, follower):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "fig4b", "--param", "pump_mw", "--values", follower, "analytic"])
+        assert exc.value.code == 2
+        assert "argument --values: expected one argument" in capsys.readouterr().err
+
     def test_bad_param_exit_2(self, capsys):
         assert main(["sweep", "fig4b", "--param", "lo_power", "--values", "1"]) == 2
 
@@ -497,3 +524,16 @@ def test_unusable_output_path_exits_2_before_the_work(tmp_path, capsys, monkeypa
     target.write_text("")
     assert main([*argv, str(target)]) == 2
     assert f"cannot use {str(target)!r} as an output directory" in capsys.readouterr().err
+
+
+def test_python_m_sqztune_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    paths = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "sqztune", "list"], cwd=root, capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == [
+        "fig4a", "fig4b", "fig5a", "fig5b", "fig5c"
+    ]

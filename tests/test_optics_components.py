@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from sqztune.gaussian_core import (
 from sqztune.homodyne import hd_noise_power
 from sqztune.optics_components import (
     OpoParams,
+    _couple_pairs,
     abi_efficiency,
     abi_ideal_unitary,
     aom_unitary,
@@ -110,6 +113,23 @@ class TestOpoVariances:
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
             opo_variances(OpoParams(450.0), -1.0, 0.708)
+
+    def test_vectorized_over_sources(self):
+        # Each source's entry equals its own call bit for bit, also where the
+        # scalar power (1 + x)^2 differs from numpy's squaring of an array.
+        rng = np.random.default_rng(1501)
+        sources = [OpoParams(p, escape_efficiency=0.934) for p in rng.uniform(0.0, 979.0, 2000)]
+        sq, anti = opo_variances(sources, 1.55, 0.934)
+        assert sq.shape == anti.shape == (2000,)
+        points = np.array([opo_variances(p, 1.55, 0.934) for p in sources])
+        assert np.array_equal(sq, points[:, 0])
+        assert np.array_equal(anti, points[:, 1])
+        x = np.sqrt([p.pump_mw / p.threshold_mw for p in sources])
+        assert np.any((1.0 + x) ** 2 != np.array([(1.0 + v) ** 2 for v in x]))
+
+    def test_sources_are_read_at_one_detuning(self):
+        with pytest.raises(ValueError, match="one scalar detuning"):
+            opo_variances([OpoParams(450.0)], np.array([1.0, 2.0]), 0.708)
 
 
 class TestOpoSidebandState:
@@ -278,6 +298,68 @@ class TestAbi:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             ideal_abi(vacuum_state([CARRIER]), zeta=1.3)
+
+
+def kron_coupler(state, u, shift_mhz):
+    """The pair coupler built as one block-diagonal symplectic of all pairs,
+    np.kron(I, u), checked whole and applied with apply_symplectic."""
+    uppers = tuple(m.shifted_mhz(shift_mhz) for m in state.modes)
+    pair_modes = [m for pair in zip(state.modes, uppers) for m in pair]
+    op = symplectic_from_unitary(np.kron(np.eye(len(uppers)), u), pair_modes)
+    return apply_symplectic(add_vacuum_modes(state, uppers), op)
+
+
+class TestPairCoupler:
+    """Each pair gets the one checked pair block; the covariance is the
+    block-diagonal construction's, bit for bit."""
+
+    @staticmethod
+    def pair_states(rng, count):
+        """Random states of 1-3 modes (each the lower member of one pair) and
+        a shift that pairs none of their modes with another."""
+        while count:
+            state = random_chain_state(rng)
+            shift = float(rng.choice([10.0, -20.0, 45.5, 80.0]))
+            uppers = [m.shifted_mhz(shift) for m in state.modes]
+            if state.n_modes <= 3 and not any(m in state.modes for m in uppers):
+                count -= 1
+                yield state, shift
+
+    def test_aom_and_tuner_equal_the_kron_construction(self):
+        rng = np.random.default_rng(1502)
+        sizes = set()
+        for state, shift in self.pair_states(rng, 400):
+            sizes.add(state.n_modes)
+            if rng.uniform() < 0.5:
+                angle = rng.uniform(0.0, np.pi / 2)
+                t, r = math.cos(angle), math.sin(angle)
+                got = apply_aom(state, t, r, shift)
+                expected = kron_coupler(state, aom_unitary(t, r), shift)
+            else:
+                zeta, visibility = rng.uniform(0.5, 1.0), rng.uniform(0.0, 1.0)
+                phi = rng.uniform(-7.0, 7.0)
+                got = apply_abi(state, shift, zeta, visibility, phi)
+                coupled = kron_coupler(state, abi_ideal_unitary(phi), shift)
+                # The loss on every mode listed, which takes its indexed path.
+                eta = abi_efficiency(zeta, visibility)
+                expected = apply_uniform_loss(coupled, eta, coupled.modes)
+            assert got.modes == expected.modes
+            assert got.cov.tobytes() == expected.cov.tobytes()
+        assert sizes == {1, 2, 3}
+
+    @pytest.mark.parametrize("scale, unitary", [(1.0 + 4e-13, True), (1.0 + 1e-12, False),
+                                                (1.001, False)])
+    def test_unitarity_checked_at_the_same_tolerance(self, scale, unitary):
+        rng = np.random.default_rng(1503)
+        for state, shift in self.pair_states(rng, 20):
+            u = scale * abi_ideal_unitary(rng.uniform(-4, 4))
+            if unitary:
+                got = _couple_pairs(state, u, shift)
+                assert got.cov.tobytes() == kron_coupler(state, u, shift).cov.tobytes()
+                continue
+            for couple in (_couple_pairs, kron_coupler):
+                with pytest.raises(ValueError, match="^matrix is not unitary within tolerance$"):
+                    couple(state, u, shift)
 
 
 class TestUniformLoss:

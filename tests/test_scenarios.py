@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import mc_target_psd
+from test_fuzz import apply_chain_change, chain_change
 from sqztune import scenarios, timeseries
 from sqztune.gaussian_core import ModeLabel
 from sqztune.homodyne import db, hd_noise_power
@@ -687,6 +689,31 @@ class TestSweep:
         assert math.isfinite(record["squeezed_mc_db"])
         assert math.isfinite(record["antisqueezed_mc_db"])
 
+    @pytest.mark.parametrize(
+        "parameter, values",
+        [("pump_mw", [90.0 + 60.0 * k for k in range(12)]),
+         ("delta_theta_rad", [-0.3 + 0.05 * k for k in range(12)]),
+         ("hd_efficiency", [0.45 + 0.05 * k for k in range(12)])],
+    )
+    def test_analytic_sweep_cost_does_not_grow_with_values(self, monkeypatch, propagations,
+                                                           parameter, values):
+        # One propagation and one source-variance evaluation, however many values.
+        calls = []
+        variances = scenarios.opo_variances
+
+        def counting(*args):
+            calls.append(1)
+            return variances(*args)
+
+        monkeypatch.setattr(scenarios, "opo_variances", counting)
+        counts = []
+        for k in (1, 12):
+            calls.clear()
+            propagations.clear()
+            sweep(get_scenario("fig5c"), parameter, values[:k], mode="analytic")
+            counts.append((len(propagations), len(calls)))
+        assert counts == [(1, 1), (1, 1)]
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
             sweep(get_scenario("fig4b"), "lo_power", [1.0])
@@ -759,3 +786,94 @@ class TestConfigIo:
         cfg = scenario_from_dict(data)
         result = run_scenario(cfg, mode="analytic")
         assert all(row.passed is None for row in result.rows)
+
+
+# Per axis: the builtin's own value, valid values (drawn often enough for
+# duplicates), and invalid ones.
+AXIS_VALUES = {
+    "pump_mw": (lambda cfg: cfg.pump_sweep_mw[0],
+                st.floats(0.0, 979.999) | st.sampled_from([0.0, 90.0, 979.999]),
+                [980.0, 2000.0, -1.0]),
+    "delta_theta_rad": (lambda cfg: cfg.hd.delta_theta_rad,
+                        st.floats(-4.0, 4.0) | st.sampled_from([0.0, -math.pi, 1e6]), []),
+    "hd_efficiency": (lambda cfg: cfg.hd.efficiency,
+                      st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0]), [-0.1, 1.5]),
+}
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+def first_value_error(cfg: ScenarioConfig, parameter: str, values) -> str | None:
+    """The ConfigError text of the first invalid sweep value, or None."""
+    for value in values:
+        if parameter == "pump_mw":
+            if not (math.isfinite(value) and value >= 0.0):
+                return f"scenario pump_sweep_mw must be a finite number in [0, inf], got {value!r}"
+            threshold = cfg.source.threshold_mw
+            if value >= threshold:
+                return (f"pump {value} mW is at or above threshold {threshold} mW; "
+                        "the below-threshold model does not apply")
+        elif parameter == "delta_theta_rad":
+            if not math.isfinite(value):
+                return f"hd delta_theta_rad must be a finite number, got {value!r}"
+        elif not (math.isfinite(value) and 0.0 <= value <= 1.0):
+            return f"hd efficiency must be a finite number in [0, 1], got {value!r}"
+    return None
+
+
+@st.composite
+def sweep_cases(draw):
+    """(config, axis, values): a matched-LO builtin whose tuner, if any, has a
+    random phase and visibility, and whose chain carries one or two fuzzed
+    loss, AOM and tuner elements; 1-16 values, with the builtin's own value,
+    duplicates and, in about a third of the cases, invalid values."""
+    name = draw(st.sampled_from(["fig4a", "fig4b", "fig5b", "fig5c"]))
+    data = scenario_to_dict(get_scenario(name))
+    for element in data["chain"]:
+        if element["kind"] == "abi":
+            element.update(phi_rad=draw(st.floats(-4.0, 4.0)), visibility=draw(st.floats(0.0, 1.0)))
+    for change in draw(st.lists(chain_change, min_size=1, max_size=2)):
+        apply_chain_change(data["chain"], change)
+    try:
+        cfg = scenario_from_dict(data)
+        chain_response(cfg)
+    except ConfigError:
+        assume(False)
+    assume(cfg.is_symmetric(cfg.hd.analysis_mhz[0]))
+    parameter = draw(st.sampled_from(sorted(AXIS_VALUES)))
+    own, valid, invalid = AXIS_VALUES[parameter]
+    values = draw(st.lists(valid | st.just(own(cfg)), min_size=1, max_size=13))
+    for _ in range(draw(st.integers(0, 2))):
+        values.insert(draw(st.integers(0, len(values))), draw(st.sampled_from(values)))
+    if draw(st.integers(0, 2)) == 0:
+        bad = draw(st.sampled_from(invalid + NON_FINITE))
+        values.insert(draw(st.integers(0, len(values))), bad)
+    return cfg, parameter, values
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=sweep_cases())
+def test_analytic_sweep_records_equal_per_point_readout(case):
+    cfg, parameter, values = case
+    message = first_value_error(cfg, parameter, values)
+    if message is not None:
+        with pytest.raises(ConfigError) as exc:
+            sweep(cfg, parameter, values, mode="analytic")
+        assert str(exc.value) == message
+        return
+    records = sweep(cfg, parameter, values, mode="analytic")
+    expected = []
+    for value in values:
+        variant, pump = cfg, cfg.pump_sweep_mw[0]
+        if parameter == "pump_mw":
+            pump = value
+        else:
+            field = "efficiency" if parameter == "hd_efficiency" else parameter
+            variant = replace(cfg, chain=cfg.chain[:-1] + (replace(cfg.hd, **{field: value}),))
+        analysis = cfg.hd.analysis_mhz[0]
+        expected.append({
+            "parameter": parameter,
+            "value": value,
+            "squeezed_db": db(analytic_noise(variant, pump, 0.0, analysis)),
+            "antisqueezed_db": db(analytic_noise(variant, pump, math.pi / 2, analysis)),
+        })
+    assert records == expected
