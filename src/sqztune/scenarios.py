@@ -610,6 +610,9 @@ def _mc_targets(cfg: ScenarioConfig, opo: OpoParams, gains, eta: float, freqs) -
 _SNL_STREAM = 1
 _ELECTRONIC_STREAM = 2
 _SIGNAL_STREAM_BASE = 1000
+# Draws of a whole Monte-Carlo run: (2 noise + one signal stream per MC pump)
+# x samples per round x rounds.  The builtins draw 7.5e7, 57x below it.
+MAX_DRAWS_PER_RUN = 2**32
 
 
 def _mode(cfg: ScenarioConfig, mode: str | None) -> str:
@@ -684,7 +687,9 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
     The chain is propagated once, as its response (:func:`chain_response`),
     and detected once per analysis band.  Every pump is checked before the
     Monte-Carlo work; the analytic values of all pumps are one
-    :func:`_analytic_values` pass and equal :func:`analytic_noise`.
+    :func:`_analytic_values` pass and equal :func:`analytic_noise`.  A
+    Monte-Carlo run that would draw more than ``MAX_DRAWS_PER_RUN`` values
+    is a ConfigError before any draw.
     """
     mode = _mode(cfg, mode)
     acq = _acquisition(cfg, seed)
@@ -695,6 +700,14 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
     mc_pumps = cfg.pump_sweep_mw if cfg.mc_pump_mw is None else cfg.mc_pump_mw
     spectra: dict[str, SpectrumEstimate] = {}
     if mode != "analytic":
+        streams = 2 + sum(pump in mc_pumps for pump in cfg.pump_sweep_mw)
+        draws = streams * int(acq.samples_per_round) * int(acq.rounds)
+        if draws > MAX_DRAWS_PER_RUN:
+            raise ConfigError(
+                f"a Monte-Carlo run of {streams} streams x {acq.samples_per_round} samples x "
+                f"{acq.rounds} rounds draws {draws} values, more than "
+                f"MAX_DRAWS_PER_RUN = {MAX_DRAWS_PER_RUN}"
+            )
         _analysis_bins(cfg, acq)  # a band with no grid bin is a ConfigError here too
         noise = _noise_spectra(cfg, acq, slice(None))
         spectra.update(noise)

@@ -47,8 +47,6 @@ does not depend on which path reads it.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import math
 import numbers
 import os
@@ -676,90 +674,77 @@ def calibrate(
 
 CSV_HEADER = "freq_mhz,psd_linear,stderr"
 _CSV_COLUMNS = tuple(CSV_HEADER.split(","))
-_CSV_BLOCK = 1024  # grid bins formatted at a time
-_MAX_OPEN_FILES = 64  # files a write_spectra_csv pass holds open at once
+_CSV_BLOCK = 8192  # rows per orjson call; 1024-row blocks and whole files were slower
 
 
-def _format_chunk(chunk: NDArray[np.float64]) -> list[str]:
-    """Each value's ``repr`` text, in order.
+def _csv_blocks(spec: SpectrumEstimate) -> Iterator[bytes]:
+    """The data rows of a spectrum's CSV, ``_CSV_BLOCK`` rows at a time, each
+    value as its ``repr`` text and each row ended by ``\\n``.
 
-    orjson writes the shortest round-trip digits, as ``repr`` does, and lays
-    them out as ``repr`` does for 1e-4 <= |x| < 1e16 and for ±0.0.  Outside
-    that range it writes ``0.00001``, ``1e16`` or ``1e-7`` where ``repr``
-    writes ``1e-05``, ``1e+16`` or ``1e-07``, and ``null`` for nan and ±inf,
-    so those cells are formatted with ``repr``.
+    A block's rows are copied into one (k, 3) array, whose values one orjson
+    call writes as ``[v,v,...]``.  orjson writes the shortest round-trip
+    digits, as ``repr`` does, and lays them out as ``repr`` does for
+    1e-4 <= |x| < 1e16 and for ±0.0.  Every third separator (comma or the
+    closing bracket) becomes a row end, in place.  Outside that range orjson
+    writes ``0.00001``, ``1e16`` or ``1e-7`` where ``repr`` writes
+    ``1e-05``, ``1e+16`` or ``1e-07``, and ``null`` for nan and ±inf, so the
+    text of those cells is replaced by their ``repr``.
     """
     # Imported here so that runs which write no spectrum never load it.
     import orjson
 
-    text = orjson.dumps(np.ascontiguousarray(chunk), option=orjson.OPT_SERIALIZE_NUMPY)
-    cells = text[1:-1].decode().split(",")
-    magnitude = np.abs(chunk)
-    outside = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (chunk != 0.0)
-    for i in np.flatnonzero(outside).tolist():
-        cells[i] = repr(float(chunk[i]))
-    return cells
-
-
-def _write_blocks(spectra: Sequence[SpectrumEstimate], handles: Sequence[TextIO]) -> None:
-    """Write each spectrum's CSV to its handle, one block of grid bins at a
-    time across all the handles.
-
-    Within a block, each distinct column chunk (distinct by its bytes, so
-    -0.0 and 0.0 differ) is formatted once, to the ``repr`` text of each
-    value (see :func:`_format_chunk`), and its text is reused by every file
-    that holds it, so a shared frequency grid or a spectrum equal to another
-    bit for bit costs one formatting.  Only one block's text is held in
-    memory at a time.
-    """
-    for fh in handles:
-        fh.write(CSV_HEADER + "\n")
-    for start in range(0, spectra[0].freqs_mhz.size, _CSV_BLOCK):
-        cells: dict[bytes, list[str]] = {}
-        for fh, spec in zip(handles, spectra):
-            fields = []
-            for column in (spec.freqs_mhz, spec.psd, spec.stderr):
-                chunk = column[start:start + _CSV_BLOCK]
-                key = chunk.tobytes()
-                if key not in cells:
-                    cells[key] = _format_chunk(chunk)
-                fields.append(cells[key])
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+    columns = (spec.freqs_mhz, spec.psd, spec.stderr)
+    for start in range(0, spec.freqs_mhz.size, _CSV_BLOCK):
+        rows = np.stack([column[start:start + _CSV_BLOCK] for column in columns], axis=1)
+        values = rows.ravel()
+        text = bytearray(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY))
+        chars = np.frombuffer(text, dtype=np.uint8)
+        # Value i's text lies between separators i and i + 1.
+        commas = np.flatnonzero(chars == ord(","))
+        seps = np.concatenate(([0], commas, [len(text) - 1]))
+        chars[seps[3::3]] = ord("\n")
+        magnitude = np.abs(values)
+        outside = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (values != 0.0)
+        view = memoryview(text)
+        pieces = []
+        end = 1  # past the opening bracket
+        for i in np.flatnonzero(outside).tolist():
+            pieces += (view[end:seps[i] + 1], repr(float(values[i])).encode())
+            end = seps[i + 1]
+        pieces.append(view[end:])
+        yield b"".join(pieces)
 
 
 def write_spectra_csv(items: Sequence[tuple[SpectrumEstimate, str | os.PathLike]]) -> None:
     """Write each (spectrum, path) pair's CSV, header ``freq_mhz,psd_linear,stderr``.
 
     The spectra must share one frequency grid; otherwise ValueError is raised
-    before any file is opened.  The files are written together, a block of
-    bins at a time (see :func:`_write_blocks`), at most ``_MAX_OPEN_FILES``
-    of them open at once: more pairs are written in successive passes.
-    Each file equals :func:`spectrum_to_csv` of its spectrum.
+    before any file is opened.  The files are written one at a time, each
+    equal to :func:`spectrum_to_csv` of its spectrum, with ``\\n`` line ends
+    on every platform.
     """
     items = list(items)
-    if not items:
-        return
-    _require_common_grid(*(spec for spec, _ in items))
-    for first in range(0, len(items), _MAX_OPEN_FILES):
-        group = items[first:first + _MAX_OPEN_FILES]
-        with contextlib.ExitStack() as stack:
-            handles = [stack.enter_context(open(path, "w")) for _, path in group]
-            _write_blocks([spec for spec, _ in group], handles)
+    if items:
+        _require_common_grid(*(spec for spec, _ in items))
+    for spec, path in items:
+        with open(path, "wb") as fh:
+            fh.write(f"{CSV_HEADER}\n".encode())
+            fh.writelines(_csv_blocks(spec))
 
 
 def write_spectrum_csv(spec: SpectrumEstimate, fh: TextIO) -> None:
     """Write one spectrum's CSV, header ``freq_mhz,psd_linear,stderr``, to ``fh``."""
-    _write_blocks([spec], [fh])
+    fh.write(f"{CSV_HEADER}\n")
+    for block in _csv_blocks(spec):
+        fh.write(block.decode())
 
 
 def spectrum_to_csv(spec: SpectrumEstimate) -> str:
     """CSV text with header ``freq_mhz,psd_linear,stderr``; every value is its
     float ``repr`` text, written by orjson where its text is the same (see
-    :func:`_format_chunk`), so :func:`spectrum_from_csv` reads it back bit
-    for bit."""
-    out = io.StringIO()
-    write_spectrum_csv(spec, out)
-    return out.getvalue()
+    :func:`_csv_blocks`), so :func:`spectrum_from_csv` reads it back bit for
+    bit."""
+    return f"{CSV_HEADER}\n" + b"".join(_csv_blocks(spec)).decode()
 
 
 def spectrum_from_csv(text: str) -> SpectrumEstimate:

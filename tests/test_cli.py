@@ -14,6 +14,7 @@ from sqztune import cli
 from sqztune.cli import main
 from sqztune.scenarios import get_scenario, load_config, run_scenario, save_config, scenario_to_dict
 from sqztune.timeseries import spectrum_from_csv
+from test_timeseries import per_cell_rows
 
 
 class TestList:
@@ -343,7 +344,7 @@ class TestRun:
 
     def test_out_writes_each_spectrum_once_bit_exact(self, tmp_path, capsys):
         # fig5a's beat does not depend on the LO phase, so its theta0 and
-        # theta90 spectra are equal bit for bit and share their formatting.
+        # theta90 spectra are equal bit for bit; each is written to its own file.
         data = scenario_to_dict(get_scenario("fig5a"))
         data["acquisition"].update(samples_per_round=4096, rounds=16, band_width_mhz=0.4)
         config = tmp_path / "fig5a.json"
@@ -361,6 +362,42 @@ class TestRun:
             assert np.array_equal(parsed.freqs_mhz, spectrum.freqs_mhz)
             assert np.array_equal(parsed.psd, spectrum.psd)
             assert np.array_equal(parsed.stderr, spectrum.stderr)
+
+    @pytest.mark.parametrize("builtin", ["fig4a", "fig5a"])
+    def test_out_spectra_are_repr_text_on_the_full_grid(self, tmp_path, capsys, builtin):
+        # 25,001 bins: four formatting blocks, the last a partial one.
+        data = scenario_to_dict(get_scenario(builtin))
+        data["acquisition"]["rounds"] = 16
+        config = tmp_path / f"{builtin}.json"
+        config.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(config), "--mode", "both", "--out", str(out_dir)]) in (0, 1)
+        result = run_scenario(load_config(config), mode="both")
+        written = {p.name for p in out_dir.iterdir()} - {f"{builtin}_summary.csv"}
+        assert written == {f"{builtin}_{key}.csv" for key in result.spectra}
+        for key, spectrum in result.spectra.items():
+            assert spectrum.freqs_mhz.size == 25_001
+            expected = "\n".join(["freq_mhz,psd_linear,stderr", *per_cell_rows(spectrum)]) + "\n"
+            assert (out_dir / f"{builtin}_{key}.csv").read_bytes() == expected.encode()
+
+    def test_run_over_the_draw_bound_exits_2_undrawn(self, tmp_path, capsys):
+        # 202 streams (noise and 200 pumps) of 50,000 samples x 500 rounds:
+        # 5.05e9 draws, each stream within its own bound.
+        data = scenario_to_dict(get_scenario("fig4a"))
+        data["pump_sweep_mw"] = [float(p) for p in range(1, 201)]
+        config = tmp_path / "pumps.json"
+        config.write_text(json.dumps(data))
+        tracemalloc.start()
+        try:
+            code = main(["run", str(config), "--mode", "both"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "202 streams x 50000 samples x 500 rounds draws 5050000000 values" in err
+        assert "MAX_DRAWS_PER_RUN" in err and "Traceback" not in err
+        assert peak < 2**20
 
 
 class TestSweep:

@@ -573,6 +573,26 @@ class TestRunScenario:
         assert lines[1].startswith("fig4a,")
         assert lines[1].endswith(",true")
 
+    def test_draw_bound_counts_noise_and_mc_pump_streams(self, monkeypatch):
+        class Drawn(Exception):
+            pass
+
+        def drawing(*args):
+            raise Drawn
+
+        # 2**30 draws a stream, the per-stream bound; nothing is drawn here.
+        monkeypatch.setattr(scenarios, "_noise_spectra", drawing)
+        acq = replace(get_scenario("fig4a").acquisition, samples_per_round=2**22, rounds=256)
+        cfg = replace(get_scenario("fig4a"), acquisition=acq, pump_sweep_mw=(90.0, 270.0, 450.0))
+        assert 4 * 2**30 == scenarios.MAX_DRAWS_PER_RUN
+        with pytest.raises(ConfigError, match=r"5 streams x 4194304 samples x 256 rounds "
+                                              r"draws 5368709120 values, more than MAX_DRAWS"):
+            run_scenario(cfg, mode="montecarlo")
+        for fits in (replace(cfg, pump_sweep_mw=(90.0, 270.0)), replace(cfg, mc_pump_mw=(90.0, 450.0))):
+            with pytest.raises(Drawn):
+                run_scenario(fits, mode="both")
+        assert len(run_scenario(cfg, mode="analytic").rows) == 6
+
 
 class TestSweep:
     def test_zero_efficiency_pump_sweep_pins_snl(self):

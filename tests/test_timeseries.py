@@ -1,4 +1,5 @@
 import contextlib
+import io
 import subprocess
 import sys
 from dataclasses import replace
@@ -642,8 +643,9 @@ def test_only_the_csv_writer_loads_orjson():
 
 
 class TestSpectraWriter:
-    def test_multi_spectrum_write_matches_single_writes(self, tmp_path):
-        # BEAT's 5001 bins span several formatting blocks.
+    def test_multi_spectrum_write_matches_single_writes(self, tmp_path, monkeypatch):
+        # At 5 rows a block, BEAT's 5001 bins span 1001 formatting blocks.
+        monkeypatch.setattr(timeseries, "_CSV_BLOCK", 5)
         est = simulate_spectrum(NoiseModel(lorentzian, 0.1, TONE), BEAT)
         zeroed = est.psd.copy()
         zeroed[[7, 3000]] = 0.0
@@ -662,15 +664,16 @@ class TestSpectraWriter:
         write_spectra_csv(list(zip(spectra, paths)))
         for spec, path in zip(spectra, paths):
             assert path.read_bytes() == spectrum_to_csv(spec).encode()
+            assert path.read_text().splitlines()[1:] == per_cell_rows(spec)
         row = f"{float(est.freqs_mhz[3000])!r},{{}},{float(err[3000])!r}"
         assert paths[2].read_text().splitlines()[3001] == row.format("0.0")
         assert paths[3].read_text().splitlines()[3001] == row.format("-0.0")
 
     def test_more_spectra_than_open_file_limit(self, tmp_path, monkeypatch):
+        # The files are written one at a time, however many there are.
         est = simulate_spectrum(NoiseModel(flat(0.9), 0.1), SMALL)
         spectra = [
-            SpectrumEstimate(est.freqs_mhz, est.psd * (i + 1), est.stderr)
-            for i in range(timeseries._MAX_OPEN_FILES + 3)
+            SpectrumEstimate(est.freqs_mhz, est.psd * (i + 1), est.stderr) for i in range(67)
         ]
         paths = [tmp_path / f"spectrum{i}.csv" for i in range(len(spectra))]
         live, most = set(), [0]
@@ -685,9 +688,32 @@ class TestSpectraWriter:
 
         monkeypatch.setattr(timeseries, "open", counting_open, raising=False)
         write_spectra_csv(list(zip(spectra, paths)))
-        assert most[0] == timeseries._MAX_OPEN_FILES
+        assert most[0] == 1
         for spec, path in zip(spectra, paths):
-            assert path.read_text() == spectrum_to_csv(spec)
+            assert path.read_bytes() == spectrum_to_csv(spec).encode()
+
+    def test_block_edges(self, tmp_path, monkeypatch):
+        # Three blocks of 5, 5 and 1 rows.  Cells that repr formats are the
+        # first and last cells of every block, and -0.0 ends the second
+        # block's psd where 0.0 starts the third's.
+        monkeypatch.setattr(timeseries, "_CSV_BLOCK", 5)
+        freqs = np.arange(11) * 0.25
+        psd = np.linspace(0.5, 3.0, 11)
+        err = np.full(11, 0.125)
+        freqs[[0, 5, 10]] = 1e-05, np.inf, -1e-05
+        err[[4, 9, 10]] = np.nan, 1e16, -np.inf
+        psd[[9, 10]] = -0.0, 0.0
+        est = SpectrumEstimate(freqs, psd, err)
+        rows = per_cell_rows(est)
+        assert rows[0].startswith("1e-05,") and rows[4].endswith(",nan")
+        assert rows[9].endswith(",-0.0,1e+16") and rows[10] == "-1e-05,0.0,-inf"
+        text = spectrum_to_csv(est)
+        assert text == "\n".join(["freq_mhz,psd_linear,stderr", *rows]) + "\n"
+        out = io.StringIO()
+        write_spectrum_csv(est, out)
+        assert out.getvalue() == text
+        write_spectra_csv([(est, tmp_path / "edges.csv")])
+        assert (tmp_path / "edges.csv").read_bytes() == text.encode()
 
     def test_rejects_spectra_on_different_grids(self, tmp_path):
         a = SpectrumEstimate(np.array([0.0, 1.0]), np.ones(2), np.zeros(2))
