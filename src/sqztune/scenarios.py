@@ -3,16 +3,16 @@ Declarative experiment scenarios: a chain of optical elements from the
 parametric source to the homodyne detector, reference measurement values
 with tolerances, an analytic + Monte-Carlo runner, and parameter sweeps.
 
-Both paths read one pump-independent chain response (:func:`chain_response`),
-propagated once per run or sweep and detected once per analysis band.  The
-readout is linear in the source's excess noise: the homodyne noise is
-1 + eta ((vs - 1) a + (va - 1) b), with gains (a, b) per band and LO phase
-(:meth:`DetectedPair.gains`).  The analytic rows take it at the band-centre
-source excess, and the Monte-Carlo target spectrum at each grid bin's.
-The readout is elementwise in pump, detection efficiency and LO phase, so a
-run or sweep costs one propagation plus one array readout of all its pumps
-or values (:func:`_analytic_values`); only Monte-Carlo targets are built per
-pump point.
+Runs and sweeps check all their points before any Monte-Carlo draw and
+then share one evaluator (:func:`_evaluate`).  It reads one pump-independent
+chain response (:func:`chain_response`), propagated once and detected once
+per analysis band.  The readout is linear in the source's excess noise: the
+homodyne noise is 1 + eta ((vs - 1) a + (va - 1) b), with gains (a, b) per
+band and LO phase (:meth:`DetectedPair.gains`), taken at the band-centre
+source excess for analytic rows and at each grid bin's for Monte-Carlo
+targets.  So a run or sweep costs one propagation plus one array readout of
+all its points (:func:`_analytic_values`); only Monte-Carlo targets are
+built per point, and the points on one signal stream share its draws.
 
 Builtin scenarios (fig4a, fig4b, fig5a, fig5b, fig5c) reproduce the
 measured operating points: direct readout of the source state, the pump
@@ -610,8 +610,9 @@ def _mc_targets(cfg: ScenarioConfig, opo: OpoParams, gains, eta: float, freqs) -
 _SNL_STREAM = 1
 _ELECTRONIC_STREAM = 2
 _SIGNAL_STREAM_BASE = 1000
-# Draws of a whole Monte-Carlo run: (2 noise + one signal stream per MC pump)
-# x samples per round x rounds.  The builtins draw 7.5e7, 57x below it.
+# Draws of a whole Monte-Carlo run: (2 noise + one signal stream per MC pump,
+# or one per sweep) x samples per round x rounds.  The builtins draw 7.5e7,
+# 57x below it.
 MAX_DRAWS_PER_RUN = 2**32
 
 
@@ -637,111 +638,112 @@ def _analysis_bins(cfg: ScenarioConfig, acq: AcquisitionParams) -> slice:
         raise ConfigError(f"{exc} on the {acq.samples_per_round}-sample grid") from None
 
 
-def _noise_spectra(
-    cfg: ScenarioConfig, acq: AcquisitionParams, bins: slice
-) -> dict[str, SpectrumEstimate]:
-    snl_model = NoiseModel(np.ones_like, cfg.electronic_floor, ())
-    elec_model = NoiseModel(None, cfg.electronic_floor, ())
-    return {
-        "snl": simulate_spectrum(snl_model, acq, stream=_SNL_STREAM, bins=bins),
-        "electronic": simulate_spectrum(elec_model, acq, stream=_ELECTRONIC_STREAM, bins=bins),
-    }
+def _evaluate(cfg: ScenarioConfig, mode: str, acq: AcquisitionParams,
+              opos: Sequence[OpoParams], offsets: Sequence[float], etas: Sequence[float],
+              thetas: Sequence[float], streams: Sequence[int | None], whole_grid: bool):
+    """The one evaluator behind :func:`run_scenario` and :func:`sweep`: the
+    (analytic values, Monte-Carlo estimates, noise spectra) of checked points.
 
-
-def _mc_models(cfg: ScenarioConfig, opo: OpoParams, gains, eta: float, freqs) -> list:
-    """The Monte-Carlo noise model of each LO phase's gains (see
-    :func:`_mc_targets`), its target tabulated on the grid frequencies
-    ``freqs``.
-
-    A model hands its tabulated target over to the first ``target_psd`` call
-    and keeps no reference, so the array is freed once ``target_psd`` has
-    added the floor to it; no other reference to it outlives this call.
+    Point k takes entry k % len(axis) of each axis (one entry, or one per
+    point): pump points ``opos``, lock offsets ``offsets``, detection
+    efficiencies ``etas`` and signal ``streams`` (None: no Monte-Carlo).
+    Analytic values are one :func:`_analytic_values` pass, as lists indexed
+    [point][LO phase][band] (None in Monte-Carlo mode).  Other modes check
+    the draw bound and the analysis bins before any draw, draw the noise
+    over the whole grid or the bands' bins, and give the points on one
+    stream one :func:`simulate_spectra` call (common random numbers).  A
+    point's estimates are its phases' (raw, corrected) spectra, or None.
     """
-    return [
-        NoiseModel(lambda _, held=[target]: held.pop(), cfg.electronic_floor,
-                   cfg.interference_tones)
-        for target in _mc_targets(cfg, opo, gains, eta, freqs)
-    ]
-
-
-def _mc_spectra(models: Sequence[NoiseModel], acq: AcquisitionParams,
-                noise: dict[str, SpectrumEstimate], bins: slice, stream: int) -> list:
-    """The (raw, corrected) estimate of each model over grid bins ``bins``,
-    all drawn from ``stream`` and calibrated by the 'snl' and 'electronic'
-    spectra ``noise`` over the same bins.  The models share each round's
-    draws: common random numbers, so comparisons between them reflect the
-    model, not draw-to-draw scatter."""
-    spectra = []
-    for raw in simulate_spectra(models, acq, stream=stream, bins=bins):
+    points = max(map(len, (opos, offsets, etas, streams)))
+    pairs = _response_pairs(cfg)
+    gains = [[[pair.gains(theta + offset) for pair in pairs] for theta in thetas]
+             for offset in offsets]
+    values = None
+    if mode != "montecarlo":
+        values = _analytic_values(cfg, opos, gains, np.array(etas)[:, None, None]).tolist()
+    estimates: list = [None] * points
+    if mode == "analytic":
+        return values, estimates, {}
+    on_stream: dict[int, list[int]] = {}
+    for k in range(points):
+        if streams[k % len(streams)] is not None:
+            on_stream.setdefault(streams[k % len(streams)], []).append(k)
+    count = 2 + len(on_stream)
+    draws = count * int(acq.samples_per_round) * int(acq.rounds)
+    if draws > MAX_DRAWS_PER_RUN:
+        raise ConfigError(
+            f"a Monte-Carlo run of {count} streams x {acq.samples_per_round} samples x "
+            f"{acq.rounds} rounds draws {draws} values, more than "
+            f"MAX_DRAWS_PER_RUN = {MAX_DRAWS_PER_RUN}"
+        )
+    bins = _analysis_bins(cfg, acq)  # a band with no grid bin is a ConfigError on both grids
+    bins = slice(None) if whole_grid else bins
+    floor = cfg.electronic_floor
+    noise = {
+        "snl": simulate_spectrum(NoiseModel(np.ones_like, floor, ()), acq, _SNL_STREAM, bins),
+        "electronic": simulate_spectrum(NoiseModel(None, floor, ()), acq, _ELECTRONIC_STREAM, bins),
+    }
+    freqs = noise["snl"].freqs_mhz
+    for stream, ks in on_stream.items():
+        # A model hands its tabulated target over to the first target_psd
+        # call and keeps no reference, so the array is freed once target_psd
+        # has added the floor to it.
+        models = [
+            NoiseModel(lambda _, held=[target]: held.pop(), floor, cfg.interference_tones)
+            for k in ks
+            for target in _mc_targets(cfg, opos[k % len(opos)], gains[k % len(offsets)],
+                                      etas[k % len(etas)], freqs)
+        ]
         try:
-            spectra.append((raw, calibrate(raw, noise["snl"], noise["electronic"])))
+            spectra = [(raw, calibrate(raw, noise["snl"], noise["electronic"]))
+                       for raw in simulate_spectra(models, acq, stream, bins)]
         except ValueError as exc:
             raise ConfigError(f"{exc} at {acq.rounds} rounds; raise acquisition.rounds") from None
-    return spectra
+        for i, k in enumerate(ks):
+            estimates[k] = spectra[i * len(thetas):(i + 1) * len(thetas)]
+    return values, estimates, noise
 
 
 def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None = None) -> ScenarioResult:
     """Execute a scenario: analytic values, optional Monte-Carlo spectra over
     the whole grid, and pass/fail against the reference table.
 
-    The chain is propagated once, as its response (:func:`chain_response`),
-    and detected once per analysis band.  Every pump is checked before the
-    Monte-Carlo work; the analytic values of all pumps are one
-    :func:`_analytic_values` pass and equal :func:`analytic_noise`.  A
-    Monte-Carlo run that would draw more than ``MAX_DRAWS_PER_RUN`` values
-    is a ConfigError before any draw.
+    Every pump is checked before :func:`_evaluate` reads them all, so a bad
+    pump is a ConfigError before any Monte-Carlo draw.  The analytic values
+    equal :func:`analytic_noise`.  Monte-Carlo pump k of ``pump_sweep_mw``
+    draws its own signal stream, ``_SIGNAL_STREAM_BASE`` + k.
     """
     mode = _mode(cfg, mode)
     acq = _acquisition(cfg, seed)
     hd = cfg.hd
     thetas, bands = hd.thetas_rad, hd.analysis_mhz
     symmetric = [cfg.is_symmetric(analysis) for analysis in bands]
-    pairs = _response_pairs(cfg)
-    mc_pumps = cfg.pump_sweep_mw if cfg.mc_pump_mw is None else cfg.mc_pump_mw
-    spectra: dict[str, SpectrumEstimate] = {}
-    if mode != "analytic":
-        streams = 2 + sum(pump in mc_pumps for pump in cfg.pump_sweep_mw)
-        draws = streams * int(acq.samples_per_round) * int(acq.rounds)
-        if draws > MAX_DRAWS_PER_RUN:
-            raise ConfigError(
-                f"a Monte-Carlo run of {streams} streams x {acq.samples_per_round} samples x "
-                f"{acq.rounds} rounds draws {draws} values, more than "
-                f"MAX_DRAWS_PER_RUN = {MAX_DRAWS_PER_RUN}"
-            )
-        _analysis_bins(cfg, acq)  # a band with no grid bin is a ConfigError here too
-        noise = _noise_spectra(cfg, acq, slice(None))
-        spectra.update(noise)
     opos = [_opo_params(cfg, pump) for pump in cfg.pump_sweep_mw]  # checked on every path
-    gains = [[pair.gains(theta + hd.delta_theta_rad) for pair in pairs] for theta in thetas]
-    values = None
-    if mode != "montecarlo":
-        values = _analytic_values(cfg, opos, [gains], hd.efficiency).tolist()
+    mc_pumps = cfg.pump_sweep_mw if cfg.mc_pump_mw is None else cfg.mc_pump_mw
+    # Streams stay independent across pumps and traces.
+    streams = [_SIGNAL_STREAM_BASE + index if pump in mc_pumps else None
+               for index, pump in enumerate(cfg.pump_sweep_mw)]
+    values, estimates, spectra = _evaluate(cfg, mode, acq, opos, [hd.delta_theta_rad],
+                                           [hd.efficiency], thetas, streams, whole_grid=True)
 
     rows: list[ResultRow] = []
-    for pump_index, (pump, opo) in enumerate(zip(cfg.pump_sweep_mw, opos)):
-        estimates = None
-        if mode != "analytic" and pump in mc_pumps:
-            models = _mc_models(cfg, opo, gains, hd.efficiency, noise["snl"].freqs_mhz)
-            # Streams stay independent across pumps and traces.
-            estimates = _mc_spectra(models, acq, noise, slice(None),
-                                    _SIGNAL_STREAM_BASE + pump_index)
+    for pump_index, (pump, pump_estimates) in enumerate(zip(cfg.pump_sweep_mw, estimates)):
         for i, theta in enumerate(thetas):
-            if estimates is not None:
+            if pump_estimates is not None:
                 key = f"pump{pump:g}mW_{_theta_tag(theta)}"
-                spectra[f"{key}_raw"], spectra[f"{key}_corrected"] = estimates[i]
+                spectra[f"{key}_raw"], spectra[f"{key}_corrected"] = pump_estimates[i]
             for j, (analysis, sym) in enumerate(zip(bands, symmetric)):
                 analytic_linear = None if values is None else values[pump_index][i][j]
                 analytic_db = None if values is None else db(analytic_linear)
                 mc_db = None
-                if estimates is not None:
-                    mc_db = db(band_power(estimates[i][1], analysis, acq.band_width_mhz))
+                if pump_estimates is not None:
+                    mc_db = db(band_power(pump_estimates[i][1], analysis, acq.band_width_mhz))
                 quantity = _quantity_name(sym, pump, theta, analysis)
                 ref = _REFERENCE_INDEX.get((cfg.name, quantity))
+                model_db = analytic_db if analytic_db is not None else mc_db
                 passed = None
-                if ref is not None:
-                    model_db = analytic_db if analytic_db is not None else mc_db
-                    if model_db is not None:
-                        passed = abs(model_db - ref.paper_value_db) <= ref.tolerance_db
+                if ref is not None and model_db is not None:
+                    passed = abs(model_db - ref.paper_value_db) <= ref.tolerance_db
                 rows.append(
                     ResultRow(
                         scenario=cfg.name,
@@ -800,21 +802,15 @@ def sweep(
     """Run the scenario across one parameter axis.
 
     Returns one record per value with the squeezed (theta = 0) and
-    antisqueezed (theta = pi/2) noise in dB in the first analysis band;
-    Monte-Carlo columns are filled when the effective mode includes it.
-    Each value stands at the first pump, lock offset and detection
-    efficiency of ``cfg``, one of them swept, and is checked in order as the
-    config field it stands for.  No axis changes the chain and detection
-    efficiency enters only the readout, so the response is propagated and
-    detected once, and the analytic columns of all values are one
-    :func:`_analytic_values` pass: the source excess is an array over the
-    pumps, or taken once on the other axes, and only the lock-offset axis
-    reads gains per value.  Monte-Carlo spectra cover only the analysis
-    bands' bins: the noise spectra are simulated once, and every value's
-    models (two LO phases each, built per value) share one signal stream,
-    drawn once in one :func:`simulate_spectra` call, so each value reads the
-    draws its own run would.  Memory grows by a few KB of band-only arrays
-    per value, which that call holds until its rounds end.
+    antisqueezed (theta = pi/2) noise in dB in the first analysis band.
+    Monte-Carlo columns are filled when the effective mode includes it, and
+    stand in for the analytic ones in Monte-Carlo mode.  Each value stands
+    at the first pump, lock offset and detection efficiency of ``cfg``, one
+    of them swept.  Every value is checked in order, as the config field it
+    stands for, before :func:`_evaluate` reads them all.  Monte-Carlo spectra
+    cover only the analysis bands' bins, and all values share one signal
+    stream, so each value reads the draws its own run would; that draw holds
+    a few KB of band-only arrays per value until its rounds end.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMETERS}")
@@ -825,12 +821,6 @@ def sweep(
         raise ConfigError("sweep supports scenarios with the LO matched to the state")
     mode = _mode(cfg, mode)
     acq = _acquisition(cfg, seed)  # the seed is checked in every mode, as run_scenario does
-    pairs = _response_pairs(cfg)
-    freqs = None
-    if mode != "analytic":
-        bins = _analysis_bins(cfg, acq)
-        noise = _noise_spectra(cfg, acq, bins)
-        freqs = noise["snl"].freqs_mhz
 
     values = [float(value) for value in values]
     opos = []  # the pump axis' own pump points, else the first pump's
@@ -848,26 +838,18 @@ def sweep(
     # The axes not swept hold one entry, which every value shares.
     offsets = values if parameter == "delta_theta_rad" else [hd.delta_theta_rad]
     etas = values if parameter == "hd_efficiency" else [hd.efficiency]
-    thetas = (0.0, math.pi / 2)
-
+    linear, estimates, _ = _evaluate(cfg, mode, acq, opos, offsets, etas, (0.0, math.pi / 2),
+                                     [_SIGNAL_STREAM_BASE], whole_grid=False)
     analytic_db = [None] * len(values)
-    if mode != "montecarlo":
-        gains = [[pairs[0].gains(theta + offset) for theta in thetas] for offset in offsets]
-        linear = _analytic_values(cfg, opos, gains, np.array(etas)[:, None])
-        analytic_db = [[db(x) for x in row] for row in linear.tolist()]
-    mc_db = [None] * len(values)
-    if freqs is not None:
-        models = []
-        for k in range(len(values)):
-            opo, offset, eta = (axis[k % len(axis)] for axis in (opos, offsets, etas))
-            gains = [[pair.gains(theta + offset) for pair in pairs] for theta in thetas]
-            models += _mc_models(cfg, opo, gains, eta, freqs)
-        powers = [db(band_power(corrected, hd.analysis_mhz[0], acq.band_width_mhz))
-                  for _, corrected in _mc_spectra(models, acq, noise, bins, _SIGNAL_STREAM_BASE)]
-        mc_db = [powers[i:i + 2] for i in range(0, len(powers), 2)]
+    if linear is not None:
+        analytic_db = [[db(bands[0]) for bands in point] for point in linear]
 
     records = []
-    for value, analytic, mc in zip(values, analytic_db, mc_db):
+    for value, analytic, estimate in zip(values, analytic_db, estimates):
+        mc = None
+        if estimate is not None:
+            mc = [db(band_power(corrected, hd.analysis_mhz[0], acq.band_width_mhz))
+                  for _, corrected in estimate]
         squeezed, antisqueezed = mc if analytic is None else analytic
         record = {
             "parameter": parameter,

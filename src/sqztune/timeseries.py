@@ -51,7 +51,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -730,13 +730,6 @@ def write_spectra_csv(items: Sequence[tuple[SpectrumEstimate, str | os.PathLike]
         with open(path, "wb") as fh:
             fh.write(f"{CSV_HEADER}\n".encode())
             fh.writelines(_csv_blocks(spec))
-
-
-def write_spectrum_csv(spec: SpectrumEstimate, fh: TextIO) -> None:
-    """Write one spectrum's CSV, header ``freq_mhz,psd_linear,stderr``, to ``fh``."""
-    fh.write(f"{CSV_HEADER}\n")
-    for block in _csv_blocks(spec):
-        fh.write(block.decode())
 
 
 def spectrum_to_csv(spec: SpectrumEstimate) -> str:

@@ -581,7 +581,7 @@ class TestRunScenario:
             raise Drawn
 
         # 2**30 draws a stream, the per-stream bound; nothing is drawn here.
-        monkeypatch.setattr(scenarios, "_noise_spectra", drawing)
+        monkeypatch.setattr(scenarios, "simulate_spectrum", drawing)
         acq = replace(get_scenario("fig4a").acquisition, samples_per_round=2**22, rounds=256)
         cfg = replace(get_scenario("fig4a"), acquisition=acq, pump_sweep_mw=(90.0, 270.0, 450.0))
         assert 4 * 2**30 == scenarios.MAX_DRAWS_PER_RUN
@@ -748,6 +748,77 @@ class TestSweep:
     def test_asymmetric_scenario_rejected(self):
         with pytest.raises(ConfigError, match="matched"):
             sweep(get_scenario("fig5a"), "pump_mw", [450.0])
+
+
+class TestEvaluator:
+    """run_scenario and sweep share one evaluator; these pin what that
+    sharing could change without moving any other test."""
+
+    @staticmethod
+    def drawn_streams(monkeypatch) -> list:
+        streams = []
+
+        def recording(draw):
+            def recorded(models, acq, stream=0, bins=slice(None)):
+                streams.append(stream)
+                return draw(models, acq, stream, bins)
+            return recorded
+
+        for name in ("simulate_spectrum", "simulate_spectra"):
+            monkeypatch.setattr(scenarios, name, recording(getattr(scenarios, name)))
+        return streams
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [(lambda cfg: run_scenario(replace(cfg, pump_sweep_mw=(450.0, 990.0)), mode="both"),
+          "threshold"),
+         (lambda cfg: run_scenario(replace(cfg, pump_sweep_mw=(450.0, 990.0)),
+                                   mode="montecarlo"), "threshold"),
+         (lambda cfg: sweep(cfg, "pump_mw", [450.0, 990.0], mode="both"), "threshold"),
+         (lambda cfg: sweep(cfg, "hd_efficiency", [0.5, 1.5], mode="both"), "efficiency"),
+         (lambda cfg: sweep(cfg, "delta_theta_rad", [0.0, math.nan], mode="montecarlo"),
+          "delta_theta_rad")],
+        ids=["run-both-pump", "run-montecarlo-pump", "sweep-pump", "sweep-efficiency",
+             "sweep-offset"],
+    )
+    def test_every_point_checked_before_any_draw(self, monkeypatch, call, match):
+        class Drawn(Exception):
+            pass
+
+        def drawing(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(scenarios, "simulate_spectrum", drawing)
+        monkeypatch.setattr(scenarios, "simulate_spectra", drawing)
+        # fig4a at its own settings: a draw here would cost a whole-grid run.
+        with pytest.raises(ConfigError, match=match):
+            call(get_scenario("fig4a"))
+
+    @pytest.mark.parametrize(
+        "changes, streams",
+        [({}, [1, 2, 1002]),
+         ({"pump_sweep_mw": (90.0, 270.0, 450.0), "mc_pump_mw": (90.0, 450.0)},
+          [1, 2, 1000, 1002])],
+        ids=["fig4b", "two-of-three-pumps"],
+    )
+    def test_run_streams_follow_the_pump_index(self, monkeypatch, changes, streams):
+        drawn = self.drawn_streams(monkeypatch)
+        run_scenario(replace(fast(get_scenario("fig4b")), **changes), mode="both", seed=3)
+        assert drawn == streams
+
+    @pytest.mark.parametrize("values", [[270.0], [90.0, 450.0, 630.0]], ids=["1", "3"])
+    def test_sweep_draws_one_signal_stream(self, monkeypatch, values):
+        drawn = self.drawn_streams(monkeypatch)
+        sweep(fast(get_scenario("fig4b")), "pump_mw", values, mode="both", seed=3)
+        assert drawn == [1, 2, 1000]
+
+    def test_montecarlo_sweep_fills_the_model_columns(self):
+        records = sweep(fast(get_scenario("fig4b")), "pump_mw", [270.0, 450.0],
+                        mode="montecarlo", seed=3)
+        for record in records:
+            assert record["squeezed_db"] == record["squeezed_mc_db"]
+            assert record["antisqueezed_db"] == record["antisqueezed_mc_db"]
+        assert "None" not in sweep_csv(records)
 
 
 class TestReferenceTable:

@@ -1,5 +1,4 @@
 import contextlib
-import io
 import subprocess
 import sys
 from dataclasses import replace
@@ -31,7 +30,6 @@ from sqztune.timeseries import (
     spectrum_to_csv,
     synthesize_round,
     write_spectra_csv,
-    write_spectrum_csv,
 )
 
 SMALL = AcquisitionParams(
@@ -518,13 +516,6 @@ class TestCsv:
         assert np.array_equal(parsed.stderr, est.stderr)
         assert spectrum_to_csv(parsed) == text
 
-    def test_streamed_file_matches_text(self, tmp_path):
-        est = simulate_spectrum(NoiseModel(lorentzian, 0.1, TONE), BEAT)
-        path = tmp_path / "spectrum.csv"
-        with path.open("w") as fh:
-            write_spectrum_csv(est, fh)
-        assert path.read_bytes() == spectrum_to_csv(est).encode()
-
     def test_rows_match_per_bin_formatting(self):
         est = simulate_spectrum(NoiseModel(lorentzian, 0.1, TONE), BEAT)
         psd = est.psd.copy()
@@ -709,9 +700,6 @@ class TestSpectraWriter:
         assert rows[9].endswith(",-0.0,1e+16") and rows[10] == "-1e-05,0.0,-inf"
         text = spectrum_to_csv(est)
         assert text == "\n".join(["freq_mhz,psd_linear,stderr", *rows]) + "\n"
-        out = io.StringIO()
-        write_spectrum_csv(est, out)
-        assert out.getvalue() == text
         write_spectra_csv([(est, tmp_path / "edges.csv")])
         assert (tmp_path / "edges.csv").read_bytes() == text.encode()
 
