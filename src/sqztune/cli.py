@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .scenarios import (
     BUILTIN_SCENARIOS,
+    REFERENCE_TABLE,
     ConfigError,
     ScenarioResult,
     emit_reference,
@@ -172,13 +173,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_reference(args: argparse.Namespace) -> int:
     if args.out is not None:
         _make_dir(args.out)
-    text = emit_reference()
+    entries = sorted(REFERENCE_TABLE, key=lambda e: (e.scenario, e.quantity))
+    text = emit_reference(entries)
     if args.format == "json":
-        from .scenarios import REFERENCE_TABLE
-
-        text = (
-            json.dumps([entry.__dict__ for entry in REFERENCE_TABLE], indent=2) + "\n"
-        )
+        text = json.dumps([entry.__dict__ for entry in entries], indent=2) + "\n"
     print(text, end="")
     if args.out is not None:
         suffix = "json" if args.format == "json" else "csv"

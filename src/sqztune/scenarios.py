@@ -50,6 +50,7 @@ from .timeseries import (
     AcquisitionParams,
     NoiseModel,
     SpectrumEstimate,
+    _band_edges,
     band_power,
     band_slice,
     calibrate,
@@ -289,11 +290,13 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"interference tone at {freq} MHz exceeds the Nyquist frequency {nyquist} MHz"
                 )
-        half = self.acquisition.band_width_mhz / 2.0
         for f in hd.analysis_mhz:
-            if f <= 0:
-                raise ConfigError("analysis frequencies must be positive")
-            if f + half >= nyquist:
+            # band_power's edges, rounding slack included: neither the DC
+            # nor the Nyquist bin may enter a band.
+            lo, hi = _band_edges(f, self.acquisition.band_width_mhz)
+            if lo <= 0:
+                raise ConfigError(f"analysis band at {f} MHz reaches 0 MHz")
+            if hi >= nyquist:
                 raise ConfigError(
                     f"analysis band at {f} MHz exceeds the Nyquist frequency {nyquist} MHz"
                 )

@@ -35,14 +35,14 @@ for a toned round, the phase words m+2+k0 .. m+2+k1-1.  Every bin gets the
 same words as in a whole-grid read, so its values are the same bit for bit;
 the whole grid is the range 0 .. m-1, whose words are one contiguous run.
 
-Round r of stream s under seed S is the Philox stream whose key is
-SeedSequence((S, s, r)).generate_state(2, np.uint64), from counter 0, as
-``Philox(SeedSequence((S, s, r)))`` opens it.  :func:`synthesize_round`, the
-reference path, builds that generator for its round.  :func:`simulate_spectra`
-derives the keys of up to ``_KEY_BLOCK`` rounds at a time in one vectorized
-pass of SeedSequence's hash (:func:`_round_keys`) and re-keys one Philox for
-each round.  Either way every round reads the same words: the draw map above
-does not depend on which path reads it.
+Round r of stream s under seed S is the window of ``Philox(key=S)`` that
+starts at counter (0, r, s, 0): the seed is the 128-bit key, so seeds lie in
+[0, 2**128), and the stream and round are counter words, so streams lie in
+[0, 2**64).  A round reads fewer than 2**64 words, so no two rounds or
+streams share a counter.  :func:`synthesize_round`, the reference path,
+opens that generator for its round; :func:`simulate_spectra` keys one Philox
+per stream and sets each round's counter.  Either way every round reads the
+same words: the draw map above does not depend on which path reads it.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ from numpy.typing import NDArray
 # samples_per_round words per round.  The builtins sit 84x and 43x below them.
 MAX_SAMPLES_PER_ROUND = 2**22
 MAX_DRAWS_PER_STREAM = 2**30
+# A seed is the 128-bit Philox key of every round (see the module docstring).
+MAX_SEED = 2**128
+# Streams and rounds are 64-bit words of the Philox counter.
+_COUNTER_WORD = 2**64
 
 
 @dataclass(frozen=True)
@@ -107,16 +111,8 @@ class AcquisitionParams:
             )
         if self.band_width_mhz <= 0:
             raise ValueError("band width must be positive")
-        nyquist = self.sample_rate_msps / 2.0
-        if self.band_center_mhz + self.band_width_mhz / 2.0 >= nyquist:
-            raise ValueError(
-                f"analysis band {self.band_center_mhz}+-{self.band_width_mhz/2} MHz "
-                f"exceeds the Nyquist frequency {nyquist} MHz"
-            )
-        if self.band_center_mhz - self.band_width_mhz / 2.0 < 0:
-            raise ValueError("analysis band extends below 0 MHz")
-        if self.rng_seed < 0:
-            raise ValueError("rng seed must be a non-negative integer")
+        if not 0 <= self.rng_seed < MAX_SEED:
+            raise ValueError(f"acquisition rng_seed must be in [0, 2**128), got {self.rng_seed}")
 
     @property
     def bin_spacing_mhz(self) -> float:
@@ -169,96 +165,28 @@ class NoiseModel:
 
 
 def _round_rng(seed: int, stream: int, round_index: int) -> np.random.Generator:
-    # Philox is counter-based: every (seed, stream, round) triple opens an
-    # independent, platform-stable sequence.
-    ss = np.random.SeedSequence(entropy=(seed, stream, round_index))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
-# uint32 words, filled and mixed with these multipliers, then hashed out.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_M32 = 0xFFFFFFFF
-_KEY_BLOCK = 4096  # rounds whose keys are derived at a time
-
-
-def _uint32_words(value: int) -> list[int]:
-    """The little-endian uint32 words SeedSequence reads from a non-negative int."""
-    words = [value & _M32]
-    while value > _M32:
-        value >>= 32
-        words.append(value & _M32)
-    return words
-
-
-def _hash(value, hash_const: int, mult: int):
-    """(value hashed with hash_const, the next hash_const), in uint32 arithmetic.
-
-    ``value`` is a Python int or a uint32 array; an int is kept within 32
-    bits by masks, an array wraps by itself, and a mask below 2**32 keeps
-    the array's dtype."""
-    value = value ^ hash_const
-    hash_const = hash_const * mult & _M32
-    value = value * hash_const & _M32
-    return value ^ value >> 16, hash_const
-
-
-def _mix(x, y):
-    """SeedSequence's mix of pool word x with hashed word y; ints or uint32 arrays."""
-    result = ((_MIX_MULT_L * x & _M32) - (_MIX_MULT_R * y & _M32)) & _M32
-    return result ^ result >> 16
-
-
-def _round_keys(seed: int, stream: int, rounds: int) -> Iterator[list[int]]:
-    """Yield the Philox key of each round 0 .. rounds-1 of (seed, stream), a
-    pair of uint64 values as ints, derived ``_KEY_BLOCK`` rounds at a time.
-
-    Round r's key equals ``SeedSequence((seed, stream, r)).generate_state(2,
-    np.uint64)``, the key ``Philox(SeedSequence(...))`` takes: the entropy
-    is the uint32 words of seed, stream and r, mixed into a pool of four
-    words that is hashed out into four words, read as two little-endian
-    uint64.  The seed and stream words are Python ints, hashed once; only the
-    round word is an array, one entry per round of the block.
-    """
-    head = _uint32_words(seed) + _uint32_words(stream)
-    for first in range(0, rounds, _KEY_BLOCK):
-        entropy = head + [np.arange(first, min(first + _KEY_BLOCK, rounds), dtype=np.uint32)]
-        pool, hash_const = [], _INIT_A
-        for i in range(_POOL_SIZE):
-            word, hash_const = _hash(entropy[i] if i < len(entropy) else 0, hash_const, _MULT_A)
-            pool.append(word)
-        for i_src in range(_POOL_SIZE):
-            for i_dst in range(_POOL_SIZE):
-                if i_src != i_dst:
-                    word, hash_const = _hash(pool[i_src], hash_const, _MULT_A)
-                    pool[i_dst] = _mix(pool[i_dst], word)
-        for word in entropy[_POOL_SIZE:]:
-            for i_dst in range(_POOL_SIZE):
-                hashed, hash_const = _hash(word, hash_const, _MULT_A)
-                pool[i_dst] = _mix(pool[i_dst], hashed)
-        state, hash_const = np.empty((entropy[-1].size, _POOL_SIZE), dtype="<u4"), _INIT_B
-        for i, word in enumerate(pool):
-            state[:, i], hash_const = _hash(word, hash_const, _MULT_B)
-        yield from state.view("<u8").tolist()
+    """The generator of round ``round_index`` of ``stream``: Philox keyed by
+    ``seed``, from counter (0, round_index, stream, 0)."""
+    counter = np.array([0, round_index, stream, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
 
 
 def _round_generators(seed: int, stream: int, rounds: int) -> Iterator[np.random.Generator]:
     """Yield, for each round 0 .. rounds-1 in turn, a generator at the start
     of that round's stream: the words of ``_round_rng(seed, stream, r)``.
 
-    One Philox serves every round.  Each round re-keys it to the state a
-    fresh Philox of the round's key has: counter 0, an empty buffer and no
-    held 32-bit half word.  The generator is valid until the next round's.
+    One Philox, keyed once, serves every round.  Each round sets its counter
+    to (0, r, stream, 0) with an empty buffer and no held 32-bit half word,
+    the state a fresh Philox has.  The generator is valid until the next
+    round's.
     """
-    bitgen = np.random.Philox(0)
+    bitgen = np.random.Philox(key=int(seed))
     rng = np.random.Generator(bitgen)
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key in _round_keys(seed, stream, rounds):
-        state["state"]["key"] = key
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    counter[2] = stream
+    for r in range(rounds):
+        counter[1] = r
         bitgen.state = state
         yield rng
 
@@ -364,8 +292,8 @@ def synthesize_round(
     (acq.rng_seed, stream, round_index); its bins are drawn from the word
     layout in the module docstring.
     """
-    if round_index < 0 or stream < 0:
-        raise ValueError("round index and stream must be non-negative")
+    if not (0 <= round_index < _COUNTER_WORD and 0 <= stream < _COUNTER_WORD):
+        raise ValueError("round index and stream must be in [0, 2**64)")
     n = acq.samples_per_round
     m = n // 2 + 1
     target = model.target_psd(acq.grid_mhz)
@@ -488,8 +416,8 @@ def simulate_spectra(
     stream through preallocated buffers in a fixed order: memory stays flat
     in acq.rounds and the result is deterministic.
     """
-    if stream < 0:
-        raise ValueError("stream must be non-negative")
+    if not 0 <= stream < _COUNTER_WORD:
+        raise ValueError("stream must be in [0, 2**64)")
     n = acq.samples_per_round
     m = n // 2 + 1
     k0, k1, step = bins.indices(m)

@@ -1,6 +1,7 @@
 import warnings
 
 import numpy as np
+from hypothesis import strategies as st
 
 # On a failing property, hypothesis' pytest plugin imports this module to
 # suggest a patch; its libcst import raises a DeprecationWarning, which the
@@ -27,6 +28,7 @@ from sqztune.gaussian_core import (
 )
 from sqztune import scenarios
 from sqztune.optics_components import apply_abi
+from sqztune.timeseries import SpectrumEstimate
 
 MODE_POOL = tuple(ModeLabel.from_mhz(m) for m in (-2.0, -1.0, 0.0, 1.0, 2.0))
 
@@ -84,3 +86,41 @@ def mc_target_psd(cfg: scenarios.ScenarioConfig, theta: float, pump: float | Non
     gains = [[pair.gains(theta + hd.delta_theta_rad) for pair in pairs]]
     opo = scenarios._opo_params(cfg, pump)
     return lambda freqs: scenarios._mc_targets(cfg, opo, gains, hd.efficiency, freqs)[0]
+
+
+def per_cell_rows(spec: SpectrumEstimate) -> list[str]:
+    """The data rows of a spectrum CSV, each value formatted on its own by ``repr``."""
+    return [
+        f"{float(freq)!r},{float(p)!r},{float(err)!r}"
+        for freq, p, err in zip(spec.freqs_mhz, spec.psd, spec.stderr)
+    ]
+
+
+def mostly(valid, *wrong):
+    """Mostly ``valid``: three of four branches; the fourth draws a listed wrong value."""
+    return st.one_of(valid, valid, valid, st.sampled_from(wrong))
+
+
+# Shifts: multiples of the builtins' 1.55 MHz source detuning (which make mode
+# pairs overlap), the tuner's 80 MHz and a few others.
+shift = mostly(st.sampled_from([-3.1, -1.55, 1.55, 3.1, 4.65, 80.0, -80.0, 10.0, 0.01]),
+               True, None, "1", float("nan"))
+unit = mostly(st.floats(0, 1), -0.1, 1.5, True, float("nan"))
+element = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("loss"), "label": st.just("fuzz"), "efficiency": unit}),
+    st.tuples(st.sampled_from([(0.8, 0.6), (0.6, 0.8), (1.0, 0.0), (0.8, 0.8)]), shift).map(
+        lambda tr_s: {"kind": "aom", "t": tr_s[0][0], "r": tr_s[0][1], "shift_mhz": tr_s[1]}),
+    st.fixed_dictionaries({"kind": st.just("abi"), "shift_mhz": shift, "zeta": unit,
+                           "visibility": unit, "phi_rad": mostly(st.floats(-4, 4), float("inf"))}),
+)
+# (insert or replace, position among the mid-chain elements, element)
+chain_change = st.tuples(st.booleans(), st.integers(0, 3), element)
+
+
+def apply_chain_change(chain, change):
+    insert, position, new = change
+    mid = len(chain) - 2
+    if insert or not mid:
+        chain.insert(1 + position % (mid + 1), new)
+    else:
+        chain[1 + position % mid] = new

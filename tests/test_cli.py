@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import per_cell_rows
 from sqztune import cli
 from sqztune.cli import main
 from sqztune.scenarios import get_scenario, load_config, run_scenario, save_config, scenario_to_dict
 from sqztune.timeseries import spectrum_from_csv
-from test_timeseries import per_cell_rows
 
 
 class TestList:
@@ -173,6 +173,39 @@ class TestRun:
         assert f"acquisition {field}" in err
         assert "Traceback" not in err
         assert peak < 2**20
+
+    @pytest.mark.parametrize("via", ["seed-option", "config-file"])
+    def test_seed_beyond_the_philox_key_exits_2(self, tmp_path, capsys, via):
+        argv = ["run", "fig4a", "--mode", "analytic", "--seed", str(2**128)]
+        if via == "config-file":
+            data = scenario_to_dict(get_scenario("fig4a"))
+            data["acquisition"]["rng_seed"] = 2**128
+            config = tmp_path / "seed.json"
+            config.write_text(json.dumps(data))
+            argv = ["run", str(config), "--mode", "analytic"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "acquisition rng_seed must be in [0, 2**128)" in err
+        assert "Traceback" not in err
+
+    def test_analysis_band_reaching_0_mhz_exits_2(self, tmp_path, capsys):
+        # 0.03 +- 0.05 MHz would average the DC bin into the Monte-Carlo band
+        data = scenario_to_dict(get_scenario("fig4a"))
+        data["chain"][-1]["analysis_mhz"] = [0.03]
+        config = tmp_path / "dc.json"
+        config.write_text(json.dumps(data))
+        assert main(["run", str(config), "--mode", "both"]) == 2
+        err = capsys.readouterr().err
+        assert "analysis band at 0.03 MHz reaches 0 MHz" in err
+        assert "Traceback" not in err
+
+    def test_acquisition_band_center_sets_no_band(self, tmp_path, capsys):
+        # beyond the 25 MHz Nyquist frequency, but the analysis band is 1.55 MHz
+        data = scenario_to_dict(get_scenario("fig4a"))
+        data["acquisition"]["band_center_mhz"] = 30.0
+        config = tmp_path / "center.json"
+        config.write_text(json.dumps(data))
+        assert main(["run", str(config), "--mode", "analytic"]) == 0
 
     @pytest.mark.parametrize(
         "elements, modes",
@@ -491,6 +524,15 @@ class TestReference:
         assert main(["reference", "--out", str(tmp_path), "--format", "json"]) == 0
         data = json.loads((tmp_path / "reference.json").read_text())
         assert {entry["scenario"] for entry in data} == {"fig4a", "fig4b", "fig5a", "fig5b", "fig5c"}
+
+    def test_csv_and_json_list_entries_in_one_order(self, tmp_path, capsys):
+        assert main(["reference", "--out", str(tmp_path)]) == 0
+        assert main(["reference", "--out", str(tmp_path), "--format", "json"]) == 0
+        with open(tmp_path / "reference.csv", newline="") as fh:
+            from_csv = [(row["scenario"], row["quantity"]) for row in csv.DictReader(fh)]
+        data = json.loads((tmp_path / "reference.json").read_text())
+        from_json = [(entry["scenario"], entry["quantity"]) for entry in data]
+        assert from_json == from_csv == sorted(from_csv)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import apply_chain_change, chain_change, mostly
 from sqztune.cli import main
 from sqztune.scenarios import BUILTIN_SCENARIOS, get_scenario, scenario_to_dict
 
@@ -35,7 +36,7 @@ def real(lo, hi):
 FIELDS = {
     "samples_per_round": integer(-4, 2048),
     "rounds": integer(-1, 6),
-    "rng_seed": integer(-3, 2**70),
+    "rng_seed": integer(-3, 2**130),
     "sample_rate_msps": real(-10, 400),
     "band_center_mhz": real(-5, 120),
     "band_width_mhz": real(-1, 30),
@@ -72,25 +73,6 @@ def test_mutated_acquisition_exits_cleanly(name, command, changes):
     run_cli(data, argv)
 
 
-def mostly(valid, *wrong):
-    """Mostly ``valid``: three of four branches; the fourth draws a listed wrong value."""
-    return st.one_of(valid, valid, valid, st.sampled_from(wrong))
-
-
-# Shifts: multiples of the builtins' 1.55 MHz source detuning (which make mode
-# pairs overlap), the tuner's 80 MHz and a few others.
-shift = mostly(st.sampled_from([-3.1, -1.55, 1.55, 3.1, 4.65, 80.0, -80.0, 10.0, 0.01]),
-               True, None, "1", float("nan"))
-unit = mostly(st.floats(0, 1), -0.1, 1.5, True, float("nan"))
-element = st.one_of(
-    st.fixed_dictionaries({"kind": st.just("loss"), "label": st.just("fuzz"), "efficiency": unit}),
-    st.tuples(st.sampled_from([(0.8, 0.6), (0.6, 0.8), (1.0, 0.0), (0.8, 0.8)]), shift).map(
-        lambda tr_s: {"kind": "aom", "t": tr_s[0][0], "r": tr_s[0][1], "shift_mhz": tr_s[1]}),
-    st.fixed_dictionaries({"kind": st.just("abi"), "shift_mhz": shift, "zeta": unit,
-                           "visibility": unit, "phi_rad": mostly(st.floats(-4, 4), float("inf"))}),
-)
-# (insert or replace, position among the mid-chain elements, element)
-chain_change = st.tuples(st.booleans(), st.integers(0, 3), element)
 pump = mostly(st.sampled_from([90.0, 270.0, 450.0, 1.0, 0.0]) | st.floats(0, 1000),
               "450", True, -10.0, 2000.0, float("nan"))
 TOP_LEVEL = {
@@ -104,15 +86,6 @@ TOP_LEVEL = {
         min_size=1, max_size=2),
 }
 top_change = st.sampled_from(sorted(TOP_LEVEL)).flatmap(lambda k: TOP_LEVEL[k].map(lambda v: (k, v)))
-
-
-def apply_chain_change(chain, change):
-    insert, position, new = change
-    mid = len(chain) - 2
-    if insert or not mid:
-        chain.insert(1 + position % (mid + 1), new)
-    else:
-        chain[1 + position % mid] = new
 
 
 @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)

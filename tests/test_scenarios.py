@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import mc_target_psd
-from test_fuzz import apply_chain_change, chain_change
+from conftest import apply_chain_change, chain_change, mc_target_psd
 from sqztune import scenarios, timeseries
 from sqztune.gaussian_core import ModeLabel
 from sqztune.homodyne import db, hd_noise_power
@@ -185,6 +184,17 @@ class TestValidation:
                     HdSpec(0.0, (0.0,), (30.0,)),
                 )
             )
+
+    @pytest.mark.parametrize(
+        "analysis, message",
+        [(0.01, "reaches 0 MHz"), (0.05, "reaches 0 MHz"), (0.05 + 1e-10, "reaches 0 MHz"),
+         (24.95 - 1e-10, "exceeds the Nyquist")],
+    )
+    def test_band_holding_the_dc_or_nyquist_bin_rejected(self, analysis, message):
+        # 0.1 MHz bands at 50 MS/s; the last of each kind reaches the edge
+        # only by band_power's rounding slack
+        with pytest.raises(ConfigError, match=message):
+            simple_config(chain=(SourceSpec(), HdSpec(0.0, (0.0,), (analysis,))))
 
     def test_empty_pumps_rejected(self):
         with pytest.raises(ConfigError, match="pump"):
@@ -492,14 +502,15 @@ class TestRunScenario:
 
     @pytest.mark.parametrize(
         "analysis, tones",
-        [(1.55, ((1.6, 5.0),)), (0.03, ()), (0.03, ((0.1, 5.0),))],
-        ids=["tone-in-band", "dc-band", "dc-band-tone"],
+        [(1.55, ((1.6, 5.0),)), (0.21, ()), (0.21, ((0.1, 5.0),))],
+        ids=["tone-in-band", "lowest-band", "lowest-band-tone"],
     )
-    def test_band_path_reads_tones_and_dc_bin_exactly(self, analysis, tones):
+    def test_band_path_reads_tones_and_lowest_bins_exactly(self, analysis, tones):
         hd = replace(simple_config().hd, analysis_mhz=(analysis,))
         cfg = fast(simple_config(chain=simple_config().chain[:-1] + (hd,),
                                  interference_tones=tones))
-        assert (band_slice(cfg.acquisition, (analysis,)).start == 0) == (analysis < 0.2)
+        # 0.21 +- 0.2 MHz starts at bin 1, next to the DC bin no band may hold
+        assert (band_slice(cfg.acquisition, (analysis,)).start == 1) == (analysis < 0.25)
         whole = run_scenario(cfg, mode="montecarlo", seed=4)
         (bands,) = sweep(cfg, "pump_mw", [450.0], mode="montecarlo", seed=4)
         assert [bands["squeezed_mc_db"], bands["antisqueezed_mc_db"]] == [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import mc_target_psd
+from conftest import mc_target_psd, per_cell_rows
 from sqztune.homodyne import undb
 from sqztune import timeseries
 from sqztune.scenarios import HdSpec, ScenarioConfig, SourceSpec
@@ -85,10 +85,20 @@ class TestAcquisitionParams:
             assert np.array_equal(acq.grid_range_mhz(k0, k1), grid[k0:k1])
 
     def test_nyquist_violation_rejected(self):
-        with pytest.raises(ValueError, match="Nyquist"):
-            AcquisitionParams(sample_rate_msps=50.0, band_center_mhz=25.0)
+        # The Nyquist rule applies to the scenario's analysis bands; the
+        # acquisition's band_center_mhz sets no band.
+        def config(analysis_mhz, rate):
+            return ScenarioConfig(
+                name="nyquist", description="",
+                chain=(SourceSpec(), HdSpec(0.0, (0.0,), (analysis_mhz,))),
+                pump_sweep_mw=(450.0,), acquisition=AcquisitionParams(sample_rate_msps=rate),
+            )
+
+        with pytest.raises(ValueError, match="analysis band at 25.0 MHz exceeds the Nyquist"):
+            config(25.0, 50.0)
         # the beat band needs the faster sampling rate
-        AcquisitionParams(sample_rate_msps=250.0, band_center_mhz=81.55)
+        config(81.55, 250.0)
+        AcquisitionParams(sample_rate_msps=50.0, band_center_mhz=25.0)
 
     def test_odd_sample_count_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -99,6 +109,10 @@ class TestAcquisitionParams:
             AcquisitionParams(rounds=0)
         with pytest.raises(ValueError):
             AcquisitionParams(rng_seed=-1)
+        # a seed is a Philox key, of 128 bits
+        AcquisitionParams(rng_seed=2**128 - 1)
+        with pytest.raises(ValueError, match=r"rng_seed must be in \[0, 2\*\*128\)"):
+            AcquisitionParams(rng_seed=2**128)
 
     def test_resource_bounds(self):
         n, draws = timeseries.MAX_SAMPLES_PER_ROUND, timeseries.MAX_DRAWS_PER_STREAM
@@ -199,16 +213,16 @@ class TestDrawMap:
         # With a unit PSD and one round the spectrum is the bin powers w.
         est = simulate_spectrum(self.UNIT, replace(SMALL, rounds=1), stream=7)
         m = est.psd.size
-        words = np.random.Generator(np.random.Philox(np.random.SeedSequence((99, 7, 0)))).random(m + 2)
+        words = np.random.Generator(np.random.Philox(key=99, counter=[0, 0, 7, 0])).random(m + 2)
         w = -np.log1p(-words[:m])
         cos = np.cos(2.0 * np.pi * words[m:])
         w[[0, -1]] *= 2.0 * cos * cos
         assert np.array_equal(est.psd[1:-1], w[1:-1])
         assert np.allclose(est.psd[[0, -1]], w[[0, -1]], rtol=1e-15, atol=0.0)
-        golden = [0.38609282945457946, 1.8033230461763887, 3.761518950551319,
-                  0.5968580784421207, 1.0074623100264621]
+        golden = [1.342079059506772, 0.8301333549985506, 3.01340117168711,
+                  1.0703581781620701, 0.396550895621472]
         assert np.allclose(est.psd[:5], golden, rtol=1e-14, atol=0.0)
-        assert est.psd[-1] == pytest.approx(1.8923377535331098, rel=1e-14)
+        assert est.psd[-1] == pytest.approx(0.01006428138626638, rel=1e-14)
 
     def test_interior_powers_are_exp1(self):
         acq = replace(SMALL, samples_per_round=2**17, rounds=1)
@@ -252,30 +266,15 @@ class TestDrawMap:
             simulate_spectrum(self.UNIT, BEAT, bins=bins)
 
 
-# Seeds whose uint32 word count changes (the loader accepts seeds up to 2**70).
-EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70]
-
-
 class TestRoundKeys:
-    """simulate_spectra's keys and re-keyed generator against numpy's SeedSequence."""
+    """Each round's generator: Philox keyed by the seed, from counter
+    (0, round, stream, 0)."""
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(
-        seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**70)),
-        stream=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**40]), st.integers(0, 2**40)),
-        rounds=st.sampled_from([1, 2, timeseries._KEY_BLOCK - 1, timeseries._KEY_BLOCK + 1]),
+    @pytest.mark.parametrize(
+        "seed, stream",
+        [(99, 7), (2**64, 2**40), (0, 0), (0, 2**64 - 1), (2**64, 0), (2**128 - 1, 0),
+         (2**128 - 1, 2**64 - 1)],
     )
-    def test_keys_equal_seed_sequence_state(self, seed, stream, rounds):
-        keys = np.array(list(timeseries._round_keys(seed, stream, rounds)), dtype=np.uint64)
-        assert keys.shape == (rounds, 2)
-        # Each block's first and last rounds and the stream's last round.
-        block = timeseries._KEY_BLOCK
-        picks = sorted({r for r in (0, 1, block - 1, block, rounds - 1) if r < rounds})
-        for r in picks:
-            expected = np.random.SeedSequence((seed, stream, r)).generate_state(2, np.uint64)
-            assert np.array_equal(keys[r], expected), (seed, stream, r)
-
-    @pytest.mark.parametrize("seed, stream", [(99, 7), (2**64, 2**40)])
     def test_rekeyed_generator_reads_each_round_stream(self, seed, stream):
         # Rounds read at word offsets across a 4-word Philox block, then leave
         # a part-used block and a held 32-bit half word that the next round's
@@ -285,10 +284,30 @@ class TestRoundKeys:
         for r, (start, rng) in enumerate(zip(offsets, rngs)):
             words = np.empty(63)
             timeseries._read_words(rng, [(start, 0, 30), (start + 40, 30, 63)], words)
-            expected = timeseries._round_rng(seed, stream, r).random(start + 73)
+            counter = np.array([0, r, stream, 0], dtype=np.uint64)
+            philox = np.random.Philox(key=seed, counter=counter)
+            expected = np.random.Generator(philox).random(start + 73)
+            assert np.array_equal(timeseries._round_rng(seed, stream, r).random(start + 73), expected)
             assert np.array_equal(words[:30], expected[start:start + 30])
             assert np.array_equal(words[30:], expected[start + 40:])
             rng.integers(2**31, dtype=np.uint32)
+
+    def test_rounds_and_streams_read_different_words(self):
+        rounds = [rng.random(8) for rng in timeseries._round_generators(99, 0, 2)]
+        streams = [next(timeseries._round_generators(99, s, 1)).random(8) for s in (0, 1)]
+        # round 1 of stream 0 and round 0 of stream 1 are different counters too
+        for a, b in ((rounds[0], rounds[1]), (streams[0], streams[1]), (rounds[1], streams[1])):
+            assert not np.any(a == b)
+
+    def test_stream_beyond_the_counter_word_rejected(self):
+        model = NoiseModel(flat(1.0))
+        acq = replace(SMALL, rounds=1)
+        simulate_spectrum(model, acq, stream=2**64 - 1)
+        bound = r"stream must be in \[0, 2\*\*64\)"
+        with pytest.raises(ValueError, match=bound):
+            simulate_spectrum(model, acq, stream=2**64)
+        with pytest.raises(ValueError, match=bound):
+            synthesize_round(model, acq, 0, stream=2**64)
 
 
 class TestEstimateSpectrum:
@@ -566,14 +585,6 @@ class TestCsv:
         text = f"freq_mhz,psd_linear,stderr\n0.5,1.0,0.1\n{row}\n"
         with pytest.raises(ValueError, match="line 3"):
             spectrum_from_csv(text)
-
-
-def per_cell_rows(spec: SpectrumEstimate) -> list[str]:
-    """The data rows of a spectrum CSV, each value formatted on its own by ``repr``."""
-    return [
-        f"{float(freq)!r},{float(p)!r},{float(err)!r}"
-        for freq, p, err in zip(spec.freqs_mhz, spec.psd, spec.stderr)
-    ]
 
 
 # Where the text of the CSV writer's fast formatter and repr part ways (at
