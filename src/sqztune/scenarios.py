@@ -192,11 +192,17 @@ class HdSpec:
                 raise ConfigError(f"hd {name} must be a list of numbers, got {values!r}")
             for value in values:
                 _check_real("hd", name, value)
+        _check_real("hd", "delta_theta_rad", self.delta_theta_rad)
         for theta in self.thetas_rad:
             # Output labels carry the phase in whole degrees.
             if not math.isfinite(math.degrees(theta)):
                 raise ConfigError(f"hd thetas_rad {theta!r} is too large to express in degrees")
-        _check_real("hd", "delta_theta_rad", self.delta_theta_rad)
+            # The readout turns the LO by theta + delta_theta_rad.
+            if not math.isfinite(theta + self.delta_theta_rad):
+                raise ConfigError(
+                    f"hd thetas_rad {theta!r} plus delta_theta_rad "
+                    f"{self.delta_theta_rad!r} is not a finite phase"
+                )
         _check_real("hd", "efficiency", self.efficiency, 0.0, 1.0)
 
 
@@ -283,7 +289,9 @@ class ScenarioConfig:
         nyquist = self.acquisition.sample_rate_msps / 2.0
         for freq, power in self.interference_tones:
             _check_real("interference tone", "frequency_mhz", freq)
-            _check_real("interference tone", "power", power, 0.0)
+            # Bounded as the electronic floor is: a tone's bin enters the
+            # same sums of squared periodograms.
+            _check_real("interference tone", "power", power, 0.0, 1e6)
             if freq <= 0:
                 raise ConfigError(f"interference tone at {freq} MHz must be above 0 MHz")
             if freq >= nyquist:

@@ -28,21 +28,24 @@ interior phases are read only when a model with interference tones shares
 the round.  Bin k's words sit at fixed counter offsets of the stream.
 
 A range of bins k0 .. k1-1 is read by those offsets.  Philox makes its words
-four per counter block, so a round seeks to word j with Philox.advance(j // 4)
-and drops j % 4 words.  It reads the range's power words k0 .. k1-1, the DC
-or Nyquist phase word (m or m+1) when the range holds bin 0 or bin m-1, and,
-for a toned round, the phase words m+2+k0 .. m+2+k1-1.  Every bin gets the
-same words as in a whole-grid read, so its values are the same bit for bit;
-the whole grid is the range 0 .. m-1, whose words are one contiguous run.
+four per counter block, so a run of words from word j on is read by setting
+the counter to (j // 4, r, s, 0) with an empty buffer and dropping j % 4
+words.  A round reads the range's power words k0 .. k1-1, the DC or Nyquist
+phase word (m or m+1) when the range holds bin 0 or bin m-1, and, for a
+toned round, the phase words m+2+k0 .. m+2+k1-1.  Every bin gets the same
+words as in a whole-grid read, so its values are the same bit for bit; the
+whole grid is the range 0 .. m-1, whose words are the stream's first ones.
 
 Round r of stream s under seed S is the window of ``Philox(key=S)`` that
 starts at counter (0, r, s, 0): the seed is the 128-bit key, so seeds lie in
 [0, 2**128), and the stream and round are counter words, so streams lie in
 [0, 2**64).  A round reads fewer than 2**64 words, so no two rounds or
 streams share a counter.  :func:`synthesize_round`, the reference path,
-opens that generator for its round; :func:`simulate_spectra` keys one Philox
-per stream and sets each round's counter.  Either way every round reads the
-same words: the draw map above does not depend on which path reads it.
+opens that generator for its round and reads it from the start;
+:func:`simulate_spectra` reads every round through :func:`_read_rounds`,
+which keys one Philox per stream and sets its counter at each run.  Either
+way every round reads the same words: the draw map above does not depend on
+which path reads it.
 """
 
 from __future__ import annotations
@@ -164,80 +167,63 @@ class NoiseModel:
         return total
 
 
-def _round_rng(seed: int, stream: int, round_index: int) -> np.random.Generator:
-    """The generator of round ``round_index`` of ``stream``: Philox keyed by
-    ``seed``, from counter (0, round_index, stream, 0)."""
-    counter = np.array([0, round_index, stream, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
+def _read_rounds(
+    seed: int, stream: int, rounds: range, runs: Sequence[tuple[int, int, int]],
+    words: NDArray[np.float64],
+) -> Iterator[int]:
+    """For each round r of ``rounds`` in turn, fill words[lo:hi] with the
+    round's uniform doubles from stream word ``start`` on, for each
+    (start, lo, hi) of ``runs``, then yield r.
 
-
-def _round_generators(seed: int, stream: int, rounds: int) -> Iterator[np.random.Generator]:
-    """Yield, for each round 0 .. rounds-1 in turn, a generator at the start
-    of that round's stream: the words of ``_round_rng(seed, stream, r)``.
-
-    One Philox, keyed once, serves every round.  Each round sets its counter
-    to (0, r, stream, 0) with an empty buffer and no held 32-bit half word,
-    the state a fresh Philox has.  The generator is valid until the next
-    round's.
+    One Philox, keyed once by ``seed``, serves every run.  It draws its words
+    four per counter block, so a run sets the counter to
+    (start // 4, r, stream, 0) with an empty buffer and no held 32-bit half
+    word, drops start % 4 words and reads the rest.  A round's words thus
+    depend on nothing read before it.
     """
+    if not 0 <= stream < _COUNTER_WORD:
+        raise ValueError("stream must be in [0, 2**64)")
     bitgen = np.random.Philox(key=int(seed))
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     counter = state["state"]["counter"]
     counter[2] = stream
-    for r in range(rounds):
+    for r in rounds:
         counter[1] = r
-        bitgen.state = state
-        yield rng
+        for start, lo, hi in runs:
+            counter[0] = start // 4
+            bitgen.state = state
+            if start % 4:
+                bitgen.random_raw(start % 4)
+            rng.random(out=words[lo:hi])
+        yield r
 
 
-def _read_words(
-    rng: np.random.Generator, runs: Sequence[tuple[int, int, int]], words: NDArray[np.float64]
-) -> None:
-    """Fill words[lo:hi] with the stream's uniform doubles from word ``start``
-    on, for each (start, lo, hi) of ``runs`` in increasing ``start``.
-
-    Philox draws its words four per counter block, so the stream skips to a
-    word by advancing the counter over whole blocks and dropping the rest.
-    """
-    bitgen = rng.bit_generator
-    pos = 0  # stream words consumed; their blocks are drawn
-    for start, lo, hi in runs:
-        skip = start // 4 + pos // -4  # undrawn blocks before word start
-        if skip > 0:
-            bitgen.advance(skip)
-            pos = start - start % 4
-        if start > pos:
-            bitgen.random_raw(start - pos)
-        rng.random(out=words[lo:hi])
-        pos = start + hi - lo
-
-
-def _word_runs(k0: int, k1: int, m: int, toned: bool) -> list[tuple[int, int, int]]:
+def _word_runs(
+    k0: int, k1: int, m: int, toned: bool
+) -> tuple[list[tuple[int, int, int]], list[int], list[int]]:
     """The (stream word, buffer start, buffer stop) runs a round of bins
-    k0 .. k1-1 reads, runs that continue in the stream merged.
+    k0 .. k1-1 reads, the positions of the real DC and Nyquist bins among
+    them, and the buffer slots of those bins' phase words.
 
     The buffer holds the nb = k1 - k0 power words, then the DC and the
     Nyquist phase slots, then (toned rounds) the nb interior phase words, so
-    two runs that continue in the stream also continue in the buffer, and on
-    the whole grid the buffer is the stream's first m+2 or 2m+2 words.
+    on the whole grid it holds the stream's first m+2 or 2m+2 words in order.
     """
     nb = k1 - k0
     runs = [(k0, 0, nb)]
+    edges, edge_words = [], []
     if k0 == 0:
         runs.append((m, nb, nb + 1))
+        edges.append(0)
+        edge_words.append(nb)
     if k1 == m:
         runs.append((m + 1, nb + 1, nb + 2))
+        edges.append(nb - 1)
+        edge_words.append(nb + 1)
     if toned:
         runs.append((m + 2 + k0, nb + 2, 2 * nb + 2))
-    merged = runs[:1]
-    for start, lo, hi in runs[1:]:
-        prev_start, prev_lo, prev_hi = merged[-1]
-        if start == prev_start + prev_hi - prev_lo:
-            merged[-1] = (prev_start, prev_lo, hi)
-        else:
-            merged.append((start, lo, hi))
-    return merged
+    return runs, edges, edge_words
 
 
 _TWO_PI = 2.0 * np.pi
@@ -298,7 +284,9 @@ def synthesize_round(
     m = n // 2 + 1
     target = model.target_psd(acq.grid_mhz)
 
-    words = _round_rng(acq.rng_seed, stream, round_index).random(2 * m + 2)
+    counter = np.array([0, round_index, stream, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=int(acq.rng_seed), counter=counter))
+    words = rng.random(2 * m + 2)
     re, im = np.empty(m), np.empty(m)
     _bin_powers(words, m)
     _bins(words, re, im, [0, m - 1], [m, m + 1])
@@ -410,14 +398,12 @@ def simulate_spectra(
     is the same bit for bit whether or not a model with tones shares the call.
 
     ``bins`` selects a range of the m = n/2 + 1 grid bins (default: all).
-    Each round reads only that range's words, seeking to them by counter
-    offset (see the module docstring), and the estimates cover only those
-    bins; they equal the whole-grid estimates' slice bit for bit.  Rounds
-    stream through preallocated buffers in a fixed order: memory stays flat
-    in acq.rounds and the result is deterministic.
+    Each round reads only that range's words, setting the Philox counter at
+    each run of them (see :func:`_read_rounds`), and the estimates cover
+    only those bins; they equal the whole-grid estimates' slice bit for bit.
+    Rounds stream through preallocated buffers in a fixed order: memory
+    stays flat in acq.rounds and the result is deterministic.
     """
-    if not 0 <= stream < _COUNTER_WORD:
-        raise ValueError("stream must be in [0, 2**64)")
     n = acq.samples_per_round
     m = n // 2 + 1
     k0, k1, step = bins.indices(m)
@@ -426,15 +412,9 @@ def simulate_spectra(
     nb = k1 - k0
     freqs = acq.grid_range_mhz(k0, k1)
     targets = [model.target_psd(freqs) for model in models]
-    # Positions of the real DC and Nyquist bins in the range, and the buffer
-    # slots of their phase words (see _word_runs).
-    edges, edge_words = [], []
-    if k0 == 0:
-        edges.append(0)
-        edge_words.append(nb)
-    if k1 == m:
-        edges.append(nb - 1)
-        edge_words.append(nb + 1)
+    runs, edges, edge_words = _word_runs(
+        k0, k1, m, any(model.interference_tones for model in models)
+    )
     w_sum, w_sumsq = np.zeros(nb), np.zeros(nb)
     # Models with tones: index -> (amplitude of re, of im, T.real, T.imag,
     # periodogram sum, sum of squares).  DC and Nyquist bins are real-valued.
@@ -448,7 +428,6 @@ def simulate_spectra(
             a_im[edges] = 0.0
             toned[i] = (a_re, a_im, tone.real.copy(), tone.imag.copy(), np.zeros(nb), np.zeros(nb))
     tone_free = len(toned) < len(models)
-    runs = _word_runs(k0, k1, m, bool(toned))
     words = np.empty(2 * nb + 2 if toned else nb + 2)
     # re is also the tone-free models' scratch, before _bins fills it; after
     # _bins, the two halves of words are the toned models' scratch.
@@ -456,8 +435,7 @@ def simulate_spectra(
     im = np.empty(nb) if toned else None
     gram, part = words[:nb], words[nb + 2:]
 
-    for rng in _round_generators(acq.rng_seed, stream, acq.rounds):
-        _read_words(rng, runs, words)
+    for _ in _read_rounds(acq.rng_seed, stream, range(acq.rounds), runs, words):
         w = _bin_powers(words, nb)
         if tone_free:
             np.copyto(re, w)

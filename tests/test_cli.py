@@ -207,6 +207,34 @@ class TestRun:
         config.write_text(json.dumps(data))
         assert main(["run", str(config), "--mode", "analytic"]) == 0
 
+    def test_lo_phase_plus_lock_offset_beyond_the_floats_exits_2(self, tmp_path, capsys):
+        # Each is finite, but the readout's phase theta + delta_theta_rad is inf.
+        data = scenario_to_dict(get_scenario("fig4a"))
+        data["chain"][-1].update(thetas_rad=[3e306], delta_theta_rad=1.7976931348623157e308)
+        config = tmp_path / "phase.json"
+        config.write_text(json.dumps(data))
+        assert main(["run", str(config), "--mode", "analytic"]) == 2
+        err = capsys.readouterr().err
+        assert "hd thetas_rad 3e+306 plus delta_theta_rad 1.7976931348623157e+308" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("power, code", [(1e160, 2), (1e6, 0)])
+    def test_tone_power_is_bounded_as_the_floor_is(self, tmp_path, capsys, power, code):
+        # At 1e160 the sums of squared periodograms overflow to nan stderr cells.
+        data = scenario_to_dict(get_scenario("fig5a"))
+        data["acquisition"].update(samples_per_round=4000, rounds=32)
+        data["interference_tones"] = [[80.0, power]]
+        config = tmp_path / "tone.json"
+        config.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(config), "--mode", "both", "--out", str(out_dir)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert "interference tone power must be a finite number in [0, 1e+06]" in err
+            assert not out_dir.exists()
+        else:
+            assert len(list(out_dir.iterdir())) == 7
+
     @pytest.mark.parametrize(
         "elements, modes",
         [
@@ -412,6 +440,34 @@ class TestRun:
             assert spectrum.freqs_mhz.size == 25_001
             expected = "\n".join(["freq_mhz,psd_linear,stderr", *per_cell_rows(spectrum)]) + "\n"
             assert (out_dir / f"{builtin}_{key}.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("builtin", ["fig4a", "fig4b", "fig5a", "fig5b", "fig5c"])
+    def test_every_written_number_is_finite(self, tmp_path, capsys, builtin):
+        data = scenario_to_dict(get_scenario(builtin))
+        data["acquisition"].update(samples_per_round=4000, rounds=16)
+        config = tmp_path / f"{builtin}.json"
+        config.write_text(json.dumps(data))
+        for fmt in ("csv", "json"):
+            out_dir = tmp_path / fmt
+            argv = ["run", str(config), "--mode", "both", "--format", fmt, "--out", str(out_dir)]
+            assert main(argv) in (0, 1)
+            summary = out_dir / f"{builtin}_summary.{fmt}"
+            if fmt == "json":
+                rows = json.loads(summary.read_text())["rows"]
+                values = [row[key] for row in rows for key in row if key not in ("quantity", "passed")]
+                assert all(row["analytic_db"] is not None for row in rows)
+            else:
+                with open(summary, newline="") as fh:
+                    rows = list(csv.DictReader(fh))
+                values = [float(row[key]) for row in rows
+                          for key in ("model_db", "reference_db", "tolerance_db") if row[key]]
+                assert all(row["model_db"] for row in rows)
+            assert rows and all(math.isfinite(v) for v in values if v is not None)
+            spectra = [path for path in out_dir.glob("*.csv") if path != summary]
+            assert len(spectra) >= 4
+            for path in spectra:
+                cells = np.loadtxt(path, delimiter=",", skiprows=1)
+                assert cells.shape == (2001, 3) and np.isfinite(cells).all()
 
     def test_run_over_the_draw_bound_exits_2_undrawn(self, tmp_path, capsys):
         # 202 streams (noise and 200 pumps) of 50,000 samples x 500 rounds:

@@ -535,19 +535,20 @@ class TestRunScenario:
         # simulate_spectra holds the totals target_psd builds from the
         # tabulated targets; the tabulated arrays must be gone by the rounds.
         tabulated, alive = [], []
-        mc_targets, read_words = scenarios._mc_targets, timeseries._read_words
+        mc_targets, read_rounds = scenarios._mc_targets, timeseries._read_rounds
 
         def recording_targets(*args):
             targets = mc_targets(*args)
             tabulated.extend(weakref.ref(target) for target in targets)
             return targets
 
-        def counting_read(*args):
-            alive.append(sum(ref() is not None for ref in tabulated))
-            return read_words(*args)
+        def counting_rounds(*args):
+            for r in read_rounds(*args):
+                alive.append(sum(ref() is not None for ref in tabulated))
+                yield r
 
         monkeypatch.setattr(scenarios, "_mc_targets", recording_targets)
-        monkeypatch.setattr(timeseries, "_read_words", counting_read)
+        monkeypatch.setattr(timeseries, "_read_rounds", counting_rounds)
         cfg = fast(get_scenario("fig4a"))
         run(cfg)
         assert len(tabulated) == targets
@@ -666,13 +667,14 @@ class TestSweep:
         # The SNL, electronic and signal streams: one read per round each,
         # however many values share the signal stream.
         reads = []
-        read_words = timeseries._read_words
+        read_rounds = timeseries._read_rounds
 
-        def counting_read(*args):
-            reads.append(1)
-            return read_words(*args)
+        def counting_rounds(*args):
+            for r in read_rounds(*args):
+                reads.append(1)
+                yield r
 
-        monkeypatch.setattr(timeseries, "_read_words", counting_read)
+        monkeypatch.setattr(timeseries, "_read_rounds", counting_rounds)
         cfg = fast(get_scenario("fig4b"))
         sweep(cfg, "pump_mw", values, mode="montecarlo", seed=5)
         assert len(reads) == 3 * cfg.acquisition.rounds

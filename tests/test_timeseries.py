@@ -267,7 +267,7 @@ class TestDrawMap:
 
 
 class TestRoundKeys:
-    """Each round's generator: Philox keyed by the seed, from counter
+    """Each round's words: Philox keyed by the seed, from counter
     (0, round, stream, 0)."""
 
     @pytest.mark.parametrize(
@@ -276,28 +276,40 @@ class TestRoundKeys:
          (2**128 - 1, 2**64 - 1)],
     )
     def test_rekeyed_generator_reads_each_round_stream(self, seed, stream):
-        # Rounds read at word offsets across a 4-word Philox block, then leave
-        # a part-used block and a held 32-bit half word that the next round's
-        # re-keying must clear.
+        # Two runs per round at word offsets across a 4-word Philox block;
+        # each leaves a part-used block that the next run must not read.
         offsets = [0, 1, 3, 4, 5, 1001]
-        rngs = timeseries._round_generators(seed, stream, len(offsets))
-        for r, (start, rng) in enumerate(zip(offsets, rngs)):
-            words = np.empty(63)
-            timeseries._read_words(rng, [(start, 0, 30), (start + 40, 30, 63)], words)
-            counter = np.array([0, r, stream, 0], dtype=np.uint64)
-            philox = np.random.Philox(key=seed, counter=counter)
-            expected = np.random.Generator(philox).random(start + 73)
-            assert np.array_equal(timeseries._round_rng(seed, stream, r).random(start + 73), expected)
-            assert np.array_equal(words[:30], expected[start:start + 30])
-            assert np.array_equal(words[30:], expected[start + 40:])
-            rng.integers(2**31, dtype=np.uint32)
+        words = np.empty(63)
+        for start in offsets:
+            runs = [(start, 0, 30), (start + 40, 30, 63)]
+            rounds = timeseries._read_rounds(seed, stream, range(len(offsets)), runs, words)
+            for r in rounds:
+                counter = np.array([0, r, stream, 0], dtype=np.uint64)
+                philox = np.random.Philox(key=seed, counter=counter)
+                expected = np.random.Generator(philox).random(start + 73)
+                assert np.array_equal(words[:30], expected[start:start + 30])
+                assert np.array_equal(words[30:], expected[start + 40:])
+
+    @staticmethod
+    def read(seed, stream, rounds, runs, size):
+        """The words each round of ``rounds`` reads, one row per round."""
+        words = np.empty(size)
+        return [words.copy() for _ in timeseries._read_rounds(seed, stream, rounds, runs, words)]
 
     def test_rounds_and_streams_read_different_words(self):
-        rounds = [rng.random(8) for rng in timeseries._round_generators(99, 0, 2)]
-        streams = [next(timeseries._round_generators(99, s, 1)).random(8) for s in (0, 1)]
+        rounds = self.read(99, 0, range(2), [(0, 0, 8)], 8)
+        streams = [self.read(99, s, range(1), [(0, 0, 8)], 8)[0] for s in (0, 1)]
         # round 1 of stream 0 and round 0 of stream 1 are different counters too
         for a, b in ((rounds[0], rounds[1]), (streams[0], streams[1]), (rounds[1], streams[1])):
             assert not np.any(a == b)
+
+    def test_a_round_reads_the_same_words_alone_or_after_others(self):
+        # The runs end inside a Philox block, out of stream order, and the
+        # round ends with words of its last block unread.
+        runs = [(5, 0, 30), (2, 30, 31), (1001, 31, 63)]
+        after = self.read(7, 3, range(5), runs, 63)
+        for r in range(5):
+            assert np.array_equal(self.read(7, 3, range(r, r + 1), runs, 63)[0], after[r])
 
     def test_stream_beyond_the_counter_word_rejected(self):
         model = NoiseModel(flat(1.0))
