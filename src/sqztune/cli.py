@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .scenarios import (
@@ -65,18 +66,10 @@ def _result_dict(result: ScenarioResult) -> dict:
         "mode": result.mode,
         "seed": result.seed,
         "reference_ok": result.reference_ok,
+        # Each row's fields but the scenario, named above, and the linear value.
         "rows": [
-            {
-                "quantity": row.quantity,
-                "pump_mw": row.pump_mw,
-                "theta_rad": row.theta_rad,
-                "analysis_mhz": row.analysis_mhz,
-                "analytic_db": row.analytic_db,
-                "mc_db": row.mc_db,
-                "reference_db": row.reference_db,
-                "tolerance_db": row.tolerance_db,
-                "passed": row.passed,
-            }
+            {key: value for key, value in asdict(row).items()
+             if key not in ("scenario", "analytic_linear")}
             for row in result.rows
         ],
     }

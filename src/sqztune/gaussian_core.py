@@ -41,9 +41,12 @@ class ModeLabel:
         """Build a label from a detuning in MHz, snapping to the label grid.
 
         Raises ValueError if the value is farther than 1e-6 relative from a
-        grid point; silent snapping would hide configuration typos.
+        grid point, since silent snapping would hide configuration typos, or
+        if it is not a finite number of grid steps.
         """
         raw = detuning_mhz * 1e6 / GRID_HZ
+        if not np.isfinite(raw):
+            raise ValueError(f"detuning {detuning_mhz} MHz is not a finite number of grid steps")
         steps = round(raw)
         if abs(raw - steps) > 1e-6 * max(1.0, abs(raw)):
             raise ValueError(

@@ -27,6 +27,11 @@ from .gaussian_core import (
 )
 
 SPLIT_NORM_TOL = 1e-12
+# The Lorentzian's 4 (nu/nu0)^2 overflows near nu/nu0 = 1e154.  Scenarios
+# read the source at most 2e6 MHz from its carrier (scenarios.MAX_DETUNING_MHZ
+# plus twice the Nyquist frequency under timeseries.MAX_SAMPLE_RATE_MSPS),
+# where a bandwidth of at least 1 Hz keeps the term below 2e25.
+MIN_BANDWIDTH_MHZ = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,8 @@ class OpoParams:
                 f"pump {self.pump_mw} mW is at or above threshold {self.threshold_mw} mW; "
                 "the below-threshold model does not apply"
             )
-        if self.bandwidth_mhz <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not self.bandwidth_mhz >= MIN_BANDWIDTH_MHZ:
+            raise ValueError(f"bandwidth must be at least {MIN_BANDWIDTH_MHZ:g} MHz")
         if not 0.0 <= self.escape_efficiency <= 1.0:
             raise ValueError("escape efficiency must be in [0, 1]")
 

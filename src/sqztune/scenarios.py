@@ -27,7 +27,7 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence, Union
@@ -37,6 +37,7 @@ import numpy as np
 from .gaussian_core import GaussianState, ModeLabel, apply_uniform_loss
 from .homodyne import DetectedPair, db, detect_pair
 from .optics_components import (
+    MIN_BANDWIDTH_MHZ,
     SPLIT_NORM_TOL,
     OpoParams,
     abi_efficiency,
@@ -119,10 +120,10 @@ class SourceSpec:
     escape_efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("threshold_mw", "bandwidth_mhz"):
-            _check_real("opo", name, getattr(self, name))
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"opo {name} must be positive")
+        _check_real("opo", "threshold_mw", self.threshold_mw)
+        if self.threshold_mw <= 0:
+            raise ConfigError("opo threshold_mw must be positive")
+        _check_real("opo", "bandwidth_mhz", self.bandwidth_mhz, MIN_BANDWIDTH_MHZ)
         _check_real("opo", "escape_efficiency", self.escape_efficiency, 0.0, 1.0)
 
 
@@ -222,6 +223,12 @@ _CLASS_TO_KIND = {cls: kind for kind, cls in _KIND_TO_CLASS.items()}
 # Scenario configuration
 # ---------------------------------------------------------------------------
 
+# 1 THz, beyond any tuner.  A carrier-LO readout reads the source up to this
+# detuning plus twice the Nyquist frequency from its carrier, which the
+# Lorentzian's range must hold (see MIN_BANDWIDTH_MHZ).
+MAX_DETUNING_MHZ = 1e6
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
@@ -314,8 +321,12 @@ class ScenarioConfig:
                 "analysis frequencies map to different source sideband detunings "
                 f"{sorted(deltas)}; split them into separate scenarios"
             )
-        if next(iter(deltas)) <= 0:
-            raise ConfigError("analysis frequency coincides with the source carrier")
+        delta = next(iter(deltas))
+        if not 0 < delta <= MAX_DETUNING_MHZ:
+            raise ConfigError(
+                f"analysis pair reads the source {delta:g} MHz from its carrier, "
+                f"outside (0, MAX_DETUNING_MHZ = {MAX_DETUNING_MHZ:g}]"
+            )
         # Output file names and row quantities carry these labels, so two
         # values with one label would overwrite each other's spectra and rows.
         _check_distinct("pump_sweep_mw", self.pump_sweep_mw, "{:g}".format)
@@ -751,25 +762,23 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
                     mc_db = db(band_power(pump_estimates[i][1], analysis, acq.band_width_mhz))
                 quantity = _quantity_name(sym, pump, theta, analysis)
                 ref = _REFERENCE_INDEX.get((cfg.name, quantity))
-                model_db = analytic_db if analytic_db is not None else mc_db
-                passed = None
-                if ref is not None and model_db is not None:
-                    passed = abs(model_db - ref.paper_value_db) <= ref.tolerance_db
-                rows.append(
-                    ResultRow(
-                        scenario=cfg.name,
-                        quantity=quantity,
-                        pump_mw=pump,
-                        theta_rad=theta,
-                        analysis_mhz=analysis,
-                        analytic_linear=analytic_linear,
-                        analytic_db=analytic_db,
-                        mc_db=mc_db,
-                        reference_db=None if ref is None else ref.paper_value_db,
-                        tolerance_db=None if ref is None else ref.tolerance_db,
-                        passed=passed,
-                    )
+                row = ResultRow(
+                    scenario=cfg.name,
+                    quantity=quantity,
+                    pump_mw=pump,
+                    theta_rad=theta,
+                    analysis_mhz=analysis,
+                    analytic_linear=analytic_linear,
+                    analytic_db=analytic_db,
+                    mc_db=mc_db,
+                    reference_db=None if ref is None else ref.paper_value_db,
+                    tolerance_db=None if ref is None else ref.tolerance_db,
+                    passed=None,
                 )
+                if ref is not None and row.model_db is not None:
+                    passed = abs(row.model_db - ref.paper_value_db) <= ref.tolerance_db
+                    row = replace(row, passed=passed)
+                rows.append(row)
     return ScenarioResult(cfg.name, mode, acq.rng_seed, tuple(rows), spectra)
 
 
@@ -888,8 +897,11 @@ def sweep_csv(records: Sequence[dict]) -> str:
 # Builtin scenarios
 # ---------------------------------------------------------------------------
 
-def _builtin_fig4a() -> ScenarioConfig:
-    return ScenarioConfig(
+def _builtins() -> tuple[ScenarioConfig, ...]:
+    """fig4a, fig4b, fig5a, fig5b and fig5c: one setup read three ways, each
+    scenario after fig4a built from another by ``replace``, which re-runs
+    every check."""
+    fig4a = ScenarioConfig(
         name="fig4a",
         description=(
             "Source state read out directly with the carrier LO at 450 mW pump: "
@@ -916,118 +928,64 @@ def _builtin_fig4a() -> ScenarioConfig:
             rng_seed=DEFAULT_SEED,
         ),
     )
-
-
-def _builtin_fig4b() -> ScenarioConfig:
-    cfg = _builtin_fig4a()
-    return replace(
-        cfg,
-        name="fig4b",
-        description=(
-            "Pump sweep of the directly measured source state; the squeezing "
-            "optimum sits at 270 mW"
-        ),
-        pump_sweep_mw=tuple(float(p) for p in range(90, 811, 90)),
-        mc_pump_mw=(270.0,),
-    )
-
-
-def _tuner_chain_head() -> tuple[ComponentSpec, ...]:
     # The 0.713 propagation factor folds the source escape efficiency
     # together with the fiber path to the tuner input, so the source spec
     # carries escape 1.0 here and the budget matches the listed factors.
-    return (
+    tuner_head = (
         SourceSpec(escape_efficiency=1.0),
         LossSpec("propagation to tuner input (incl. source escape)", 0.713),
         AbiSpec(shift_mhz=80.0, zeta=0.91, visibility=1.0, phi_rad=0.0),
         LossSpec("tuner-to-detector coupling", 0.841),
     )
-
-
-def _builtin_fig5a() -> ScenarioConfig:
-    return ScenarioConfig(
+    fig5b = replace(
+        fig4a,
+        name="fig5b",
+        description=(
+            "Tuned state read out with the shifted LO at 450 mW pump: "
+            "squeezing and antisqueezing at 1.55 MHz"
+        ),
+        chain=tuner_head + (replace(fig4a.hd, lo_offset_mhz=80.0),),
+    )
+    fig5a = replace(
+        fig5b,
         name="fig5a",
         description=(
             "Tuned state read out with the carrier LO at 450 mW pump: "
             "phase-insensitive beat bands at 78.45 and 81.55 MHz, with the "
             "80 MHz drive pickup tone"
         ),
-        chain=_tuner_chain_head()
-        + (
-            HdSpec(
-                lo_offset_mhz=0.0,
-                thetas_rad=(math.pi / 2, 0.0),
-                analysis_mhz=(81.55, 78.45),
-                delta_theta_rad=_DTH_LOCK,
-                efficiency=0.806,
-            ),
+        chain=tuner_head + (
+            replace(fig5b.hd, lo_offset_mhz=0.0, thetas_rad=(math.pi / 2, 0.0),
+                    analysis_mhz=(81.55, 78.45), efficiency=0.806),
         ),
-        pump_sweep_mw=(450.0,),
-        acquisition=AcquisitionParams(
-            sample_rate_msps=250.0,
-            samples_per_round=50_000,
-            rounds=500,
-            band_center_mhz=81.55,
-            band_width_mhz=0.1,
-            rng_seed=DEFAULT_SEED,
-        ),
+        acquisition=replace(fig5b.acquisition, sample_rate_msps=250.0, band_center_mhz=81.55),
         interference_tones=((80.0, 30.0),),
     )
-
-
-def _builtin_fig5b() -> ScenarioConfig:
-    return ScenarioConfig(
-        name="fig5b",
+    # The pump sweeps run Monte-Carlo at the squeezing optimum only.
+    pump_sweep = {"pump_sweep_mw": tuple(float(p) for p in range(90, 811, 90)),
+                  "mc_pump_mw": (270.0,)}
+    fig4b = replace(
+        fig4a,
+        name="fig4b",
         description=(
-            "Tuned state read out with the shifted LO at 450 mW pump: "
-            "squeezing and antisqueezing at 1.55 MHz"
+            "Pump sweep of the directly measured source state; the squeezing "
+            "optimum sits at 270 mW"
         ),
-        chain=_tuner_chain_head()
-        + (
-            HdSpec(
-                lo_offset_mhz=80.0,
-                thetas_rad=(0.0, math.pi / 2),
-                analysis_mhz=(1.55,),
-                delta_theta_rad=_DTH_LOCK,
-                efficiency=0.888,
-            ),
-        ),
-        pump_sweep_mw=(450.0,),
-        acquisition=AcquisitionParams(
-            sample_rate_msps=50.0,
-            samples_per_round=50_000,
-            rounds=500,
-            band_center_mhz=1.55,
-            band_width_mhz=0.1,
-            rng_seed=DEFAULT_SEED,
-        ),
+        **pump_sweep,
     )
-
-
-def _builtin_fig5c() -> ScenarioConfig:
-    cfg = _builtin_fig5b()
-    return replace(
-        cfg,
+    fig5c = replace(
+        fig5b,
         name="fig5c",
         description=(
             "Pump sweep of the tuned state with the shifted LO; the squeezing "
             "optimum sits at 270 mW"
         ),
-        pump_sweep_mw=tuple(float(p) for p in range(90, 811, 90)),
-        mc_pump_mw=(270.0,),
+        **pump_sweep,
     )
+    return fig4a, fig4b, fig5a, fig5b, fig5c
 
 
-BUILTIN_SCENARIOS: dict[str, ScenarioConfig] = {
-    cfg.name: cfg
-    for cfg in (
-        _builtin_fig4a(),
-        _builtin_fig4b(),
-        _builtin_fig5a(),
-        _builtin_fig5b(),
-        _builtin_fig5c(),
-    )
-}
+BUILTIN_SCENARIOS: dict[str, ScenarioConfig] = {cfg.name: cfg for cfg in _builtins()}
 
 
 def list_scenarios() -> list[tuple[str, str]]:
@@ -1048,71 +1006,71 @@ def get_scenario(name: str) -> ScenarioConfig:
 # Config file (JSON) round trip
 # ---------------------------------------------------------------------------
 
-def _component_to_dict(element: ComponentSpec) -> dict:
-    data = {"kind": _CLASS_TO_KIND[type(element)]}
-    for name in element.__dataclass_fields__:
-        value = getattr(element, name)
-        data[name] = list(value) if isinstance(value, tuple) else value
-    return data
+def _to_json(value):
+    """A config value as JSON data: tuples as lists, and a spec as an object
+    of its fields in field order, led by its kind if it is a chain element."""
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    if not is_dataclass(value):
+        return value
+    head = {"kind": _CLASS_TO_KIND[type(value)]} if type(value) in _CLASS_TO_KIND else {}
+    return head | {field.name: _to_json(getattr(value, field.name)) for field in fields(value)}
 
 
-def _component_from_dict(data: dict) -> ComponentSpec:
-    data = dict(data)
-    kind = data.pop("kind", None)
-    cls = _KIND_TO_CLASS.get(kind)
-    if cls is None:
-        raise ConfigError(f"unknown chain element kind {kind!r}")
-    for name, value in list(data.items()):
-        if isinstance(value, list):
-            data[name] = tuple(value)
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad {kind!r} element: {exc}") from None
+def _tuples(value):
+    """JSON data with every list, nested ones too, as a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _from_json(cls, data, where: str, **readers):
+    """``cls`` built from the JSON object ``data`` found at ``where``.
+
+    A field named in ``readers`` is read by its reader, any other with its
+    lists as tuples, and a field left out takes its dataclass default.  A
+    key that names no field, or a left-out field without a default, is a
+    ConfigError naming the key and ``where``.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
+    names = [field.name for field in fields(cls)]
+    for key in data:
+        if key not in names:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    for field in fields(cls):
+        if field.name not in data and field.default is MISSING:
+            raise ConfigError(f"missing key {field.name!r} in {where}")
+    return cls(**{key: readers.get(key, _tuples)(value) for key, value in data.items()})
+
+
+def _element_from_json(position: int, data) -> ComponentSpec:
+    """Chain element ``position`` from its JSON object, whose ``kind`` names its spec."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind not in _KIND_TO_CLASS:
+        raise ConfigError(
+            f"unknown chain element kind {kind!r} at chain element {position}; "
+            f"choose from {', '.join(_KIND_TO_CLASS)}"
+        )
+    values = {key: value for key, value in data.items() if key != "kind"}
+    return _from_json(_KIND_TO_CLASS[kind], values, f"chain element {position} ({kind})")
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    acq = cfg.acquisition
-    return {
-        "name": cfg.name,
-        "description": cfg.description,
-        "chain": [_component_to_dict(e) for e in cfg.chain],
-        "pump_sweep_mw": list(cfg.pump_sweep_mw),
-        "mc_pump_mw": None if cfg.mc_pump_mw is None else list(cfg.mc_pump_mw),
-        "mode": cfg.mode,
-        "electronic_floor": cfg.electronic_floor,
-        "interference_tones": [list(t) for t in cfg.interference_tones],
-        "acquisition": {
-            "sample_rate_msps": acq.sample_rate_msps,
-            "samples_per_round": acq.samples_per_round,
-            "rounds": acq.rounds,
-            "band_center_mhz": acq.band_center_mhz,
-            "band_width_mhz": acq.band_width_mhz,
-            "rng_seed": acq.rng_seed,
-        },
-    }
+    """The config as JSON data: every field in field order (see :func:`_to_json`)."""
+    return _to_json(cfg)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
+    """The config of JSON data such as :func:`scenario_to_dict` writes; a
+    left-out field takes its default, and ``description`` reads as ""."""
     try:
-        chain = tuple(_component_from_dict(e) for e in data["chain"])
-        acq = AcquisitionParams(**data["acquisition"])
-        tones = tuple(tuple(t) for t in data.get("interference_tones", []))
-        mc_pump = data.get("mc_pump_mw")
-        return ScenarioConfig(
-            name=data["name"],
-            description=data.get("description", ""),
-            chain=chain,
-            pump_sweep_mw=tuple(data["pump_sweep_mw"]),
-            acquisition=acq,
-            electronic_floor=data.get("electronic_floor", 0.1),
-            interference_tones=tones,
-            mode=data.get("mode", "both"),
-            mc_pump_mw=None if mc_pump is None else tuple(mc_pump),
+        return _from_json(
+            ScenarioConfig, {"description": "", **data}, "the config's top level",
+            chain=lambda elements: tuple(_element_from_json(*item) for item in enumerate(elements)),
+            acquisition=lambda acq: _from_json(AcquisitionParams, acq, "acquisition"),
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario config: {exc}") from None
 
 

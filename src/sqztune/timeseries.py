@@ -68,6 +68,10 @@ MAX_DRAWS_PER_STREAM = 2**30
 MAX_SEED = 2**128
 # Streams and rounds are 64-bit words of the Philox counter.
 _COUNTER_WORD = 2**64
+# 1 THz of sampling, far beyond any scope.  The Monte-Carlo targets read the
+# source Lorentzian up to the Nyquist frequency, which must stay within its
+# range (see optics_components.MIN_BANDWIDTH_MHZ).
+MAX_SAMPLE_RATE_MSPS = 1e6
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,11 @@ class AcquisitionParams:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValueError(f"acquisition {name} must be a finite number, got {value!r}")
-        if self.sample_rate_msps <= 0:
-            raise ValueError("sample rate must be positive")
+        if not 0 < self.sample_rate_msps <= MAX_SAMPLE_RATE_MSPS:
+            raise ValueError(
+                f"acquisition sample_rate_msps must be in (0, {MAX_SAMPLE_RATE_MSPS:g}], "
+                f"got {self.sample_rate_msps!r}"
+            )
         if self.samples_per_round < 2 or self.samples_per_round % 2:
             raise ValueError("samples per round must be an even count >= 2")
         if self.rounds < 1:
@@ -416,17 +423,16 @@ def simulate_spectra(
         k0, k1, m, any(model.interference_tones for model in models)
     )
     w_sum, w_sumsq = np.zeros(nb), np.zeros(nb)
-    # Models with tones: index -> (amplitude of re, of im, T.real, T.imag,
-    # periodogram sum, sum of squares).  DC and Nyquist bins are real-valued.
+    # Models with tones: index -> (bin amplitude, T.real, T.imag, periodogram
+    # sum, sum of squares).  DC and Nyquist bins are real-valued: their
+    # amplitude is sqrt(target * n), and _bins sets their im to 0.
     toned = {}
     for i, (model, target) in enumerate(zip(models, targets)):
         if model.interference_tones:
             tone = np.fft.rfft(_add_tones(np.zeros(n), model, acq))[k0:k1]
-            a_re = np.sqrt(target * n / 2.0)
-            a_re[edges] = np.sqrt(target[edges] * n)
-            a_im = a_re.copy()
-            a_im[edges] = 0.0
-            toned[i] = (a_re, a_im, tone.real.copy(), tone.imag.copy(), np.zeros(nb), np.zeros(nb))
+            amp = np.sqrt(target * n / 2.0)
+            amp[edges] = np.sqrt(target[edges] * n)
+            toned[i] = (amp, tone.real.copy(), tone.imag.copy(), np.zeros(nb), np.zeros(nb))
     tone_free = len(toned) < len(models)
     words = np.empty(2 * nb + 2 if toned else nb + 2)
     # re is also the tone-free models' scratch, before _bins fills it; after
@@ -449,11 +455,11 @@ def simulate_spectra(
         if not toned:
             continue
         _bins(words, re, im, edges, edge_words)
-        for a_re, a_im, t_re, t_im, total, total_sq in toned.values():
-            np.multiply(a_re, re, out=gram)
+        for amp, t_re, t_im, total, total_sq in toned.values():
+            np.multiply(amp, re, out=gram)
             gram += t_re
             gram *= gram
-            np.multiply(a_im, im, out=part)
+            np.multiply(amp, im, out=part)
             part += t_im
             part *= part
             gram += part
@@ -463,7 +469,7 @@ def simulate_spectra(
             total_sq += gram
 
     return [
-        _estimate(freqs, acq.rounds, *toned[i][4:]) if i in toned
+        _estimate(freqs, acq.rounds, *toned[i][3:]) if i in toned
         else _estimate(freqs, acq.rounds, target * w_sum, target * target * w_sumsq)
         for i, target in enumerate(targets)
     ]

@@ -104,7 +104,7 @@ def mostly(valid, *wrong):
 # Shifts: multiples of the builtins' 1.55 MHz source detuning (which make mode
 # pairs overlap), the tuner's 80 MHz and a few others.
 shift = mostly(st.sampled_from([-3.1, -1.55, 1.55, 3.1, 4.65, 80.0, -80.0, 10.0, 0.01]),
-               True, None, "1", float("nan"))
+               True, None, "1", float("nan"), 1e308, -1e308)
 unit = mostly(st.floats(0, 1), -0.1, 1.5, True, float("nan"))
 element = st.one_of(
     st.fixed_dictionaries({"kind": st.just("loss"), "label": st.just("fuzz"), "efficiency": unit}),

@@ -13,7 +13,14 @@ import pytest
 from conftest import per_cell_rows
 from sqztune import cli
 from sqztune.cli import main
-from sqztune.scenarios import get_scenario, load_config, run_scenario, save_config, scenario_to_dict
+from sqztune.scenarios import (
+    BUILTIN_SCENARIOS,
+    get_scenario,
+    load_config,
+    run_scenario,
+    save_config,
+    scenario_to_dict,
+)
 from sqztune.timeseries import spectrum_from_csv
 
 
@@ -31,6 +38,14 @@ class TestList:
         data = json.loads((tmp_path / "fig4a.json").read_text())
         assert data["chain"][0]["kind"] == "opo"
 
+    def test_exported_configs_round_trip_byte_identical(self, tmp_path, capsys):
+        assert main(["list", "--export", str(tmp_path)]) == 0
+        for name, builtin in BUILTIN_SCENARIOS.items():
+            cfg = load_config(tmp_path / f"{name}.json")
+            assert cfg == builtin
+            save_config(cfg, tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_bytes() == (tmp_path / f"{name}.json").read_bytes()
+
 
 class TestRun:
     def test_analytic_run_passes(self, tmp_path, capsys):
@@ -47,6 +62,9 @@ class TestRun:
         data = json.loads((tmp_path / "fig4a_summary.json").read_text())
         assert data["scenario"] == "fig4a"
         assert data["reference_ok"] is True
+        assert list(data["rows"][0]) == ["quantity", "pump_mw", "theta_rad", "analysis_mhz",
+                                         "analytic_db", "mc_db", "reference_db", "tolerance_db",
+                                         "passed"]
 
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["run", "fig9z"]) == 2
@@ -120,6 +138,64 @@ class TestRun:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "builtin, changes, message",
+        [
+            ("fig4a", {("electronic_flor",): 5.0},
+             "unknown key 'electronic_flor' in the config's top level"),
+            ("fig4a", {("acquisition", "round"): 5}, "unknown key 'round' in acquisition"),
+            ("fig5b", {("chain", 2, "shift"): 80.0}, "unknown key 'shift' in chain element 2 (abi)"),
+            ("fig5b", {("chain", 2, "shift_mhz"): 1e308}, "abi shift_mhz"),
+            ("fig5b", {("chain", 2, "shift_mhz"): -1e308}, "abi shift_mhz"),
+            ("fig5a", {("chain", 2, "shift_mhz"): 1e308}, "abi shift_mhz"),
+            ("fig5a", {("chain", 2, "shift_mhz"): -1e308}, "abi shift_mhz"),
+            ("fig5b", {("chain", 3): {"kind": "aom", "t": 0.8, "r": 0.6, "shift_mhz": 1e308}},
+             "aom shift_mhz"),
+            ("fig5a", {("chain", 2, "shift_mhz"): 1e200}, "MAX_DETUNING_MHZ"),
+            ("fig4a", {("chain", 0, "bandwidth_mhz"): 1e-308}, "opo bandwidth_mhz"),
+            ("fig4a", {("chain", 0, "bandwidth_mhz"): 1e-300}, "opo bandwidth_mhz"),
+            ("fig4a", {("chain", 0, "bandwidth_mhz"): 5e-324}, "opo bandwidth_mhz"),
+            ("fig4a", {("acquisition", "sample_rate_msps"): 1e300,
+                       ("chain", -1, "analysis_mhz"): [1e299]}, "acquisition sample_rate_msps"),
+        ],
+        ids=["unknown-top-level-key", "unknown-acquisition-key", "unknown-chain-key",
+             "abi-shift-1e308", "abi-shift-minus-1e308", "beat-shift-1e308",
+             "beat-shift-minus-1e308", "aom-shift-1e308", "beat-shift-1e200",
+             "bandwidth-1e-308", "bandwidth-1e-300", "bandwidth-5e-324", "sample-rate-1e300"],
+    )
+    def test_config_beyond_the_model_exits_2(self, tmp_path, capsys, builtin, changes, message):
+        # Under the suite's warnings-as-errors, an overflow RuntimeWarning fails it too.
+        data = scenario_to_dict(get_scenario(builtin))
+        for (*keys, last), value in changes.items():
+            target = data
+            for key in keys:
+                target = target[key]
+            target[last] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(data))
+        assert main(["run", str(config), "--mode", "analytic"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("builtin, shift", [("fig4a", None), ("fig5a", 1_400_000.0)])
+    def test_lorentzian_limits_run_cleanly(self, tmp_path, capsys, builtin, shift):
+        # The narrowest source read as far from its carrier as the bounds allow:
+        # the Nyquist frequency of the fastest sampling, or a carrier-LO beat
+        # 1e6 MHz from the source carrier.
+        data = scenario_to_dict(get_scenario(builtin))
+        data["chain"][0]["bandwidth_mhz"] = 1e-6
+        data["acquisition"].update(sample_rate_msps=1e6, samples_per_round=1024, rounds=4,
+                                   band_width_mhz=2000.0)
+        data["chain"][-1]["analysis_mhz"] = [400_000.0]
+        if shift is not None:
+            data["chain"][2]["shift_mhz"] = shift
+            data["interference_tones"] = []
+        config = tmp_path / "limits.json"
+        config.write_text(json.dumps(data))
+        assert main(["run", str(config), "--mode", "both"]) in (0, 1)
+        assert "nan" not in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "second_shift, lo_offset", [(-80.0, 0.0), (80.0, 160.0)], ids=["up-down", "up-up"]

@@ -37,7 +37,8 @@ FIELDS = {
     "samples_per_round": integer(-4, 2048),
     "rounds": integer(-1, 6),
     "rng_seed": integer(-3, 2**130),
-    "sample_rate_msps": real(-10, 400),
+    # Past the 1e6 MS/s cap, which keeps the source Lorentzian finite.
+    "sample_rate_msps": real(-10, 400) | st.sampled_from([1e6, 1.5e6, 1e300]),
     "band_center_mhz": real(-5, 120),
     "band_width_mhz": real(-1, 30),
 }
@@ -86,6 +87,9 @@ TOP_LEVEL = {
         min_size=1, max_size=2),
 }
 top_change = st.sampled_from(sorted(TOP_LEVEL)).flatmap(lambda k: TOP_LEVEL[k].map(lambda v: (k, v)))
+# The source bandwidth, around and below its 1e-6 MHz bound; None leaves it.
+bandwidth = st.none() | mostly(st.floats(1e-6, 100) | st.sampled_from([1e-6, 1e-300, 5e-324]),
+                               0.0, -1.0, True, float("inf"))
 
 
 @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -95,13 +99,16 @@ top_change = st.sampled_from(sorted(TOP_LEVEL)).flatmap(lambda k: TOP_LEVEL[k].m
     mode=st.sampled_from(["analytic", "both", "montecarlo"]),
     chain_changes=st.lists(chain_change, max_size=2),
     top_changes=st.lists(top_change, max_size=2, unique_by=lambda kv: kv[0]).map(dict),
+    bandwidth=bandwidth,
 )
 def test_mutated_chain_and_top_level_fields_exit_cleanly(
-    name, command, mode, chain_changes, top_changes
+    name, command, mode, chain_changes, top_changes, bandwidth
 ):
-    hypothesis.assume(chain_changes or top_changes)
+    hypothesis.assume(chain_changes or top_changes or bandwidth is not None)
     data = scenario_to_dict(get_scenario(name))
     data["acquisition"].update(BASE_ACQUISITION)
+    if bandwidth is not None:
+        data["chain"][0]["bandwidth_mhz"] = bandwidth
     for change in chain_changes:
         apply_chain_change(data["chain"], change)
     data.update(top_changes)

@@ -39,6 +39,11 @@ class TestModeLabel:
         with pytest.raises(ValueError, match="grid"):
             ModeLabel.from_mhz(1.5551234)
 
+    @pytest.mark.parametrize("detuning", [1e308, -1e308, 1e303, float("inf"), float("nan")])
+    def test_non_finite_step_count_rejected(self, detuning):
+        with pytest.raises(ValueError, match="not a finite number of grid steps"):
+            ModeLabel.from_mhz(detuning)
+
     def test_shift_arithmetic_exact(self):
         shifted = CARRIER.shifted_mhz(80.0)
         assert shifted.detuning_hz == 80_000_000

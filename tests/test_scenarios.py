@@ -1,6 +1,7 @@
 import math
+import re
 import weakref
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import apply_chain_change, chain_change, mc_target_psd
 from sqztune import scenarios, timeseries
 from sqztune.gaussian_core import ModeLabel
 from sqztune.homodyne import db, hd_noise_power
+from sqztune.optics_components import OpoParams
 from sqztune.scenarios import (
     BUILTIN_SCENARIOS,
     REFERENCE_TABLE,
@@ -251,6 +253,16 @@ class TestValidation:
 
     def test_floor_bound_admits_1e6(self):
         assert simple_config(electronic_floor=1e6).electronic_floor == 1e6
+
+    def test_lorentzian_bounds_admit_their_limits(self):
+        assert SourceSpec(bandwidth_mhz=1e-6).bandwidth_mhz == 1e-6
+        assert AcquisitionParams(sample_rate_msps=1e6).sample_rate_msps == 1e6
+        with pytest.raises(ConfigError, match="opo bandwidth_mhz"):
+            SourceSpec(bandwidth_mhz=0.99e-6)
+        with pytest.raises(ValueError, match="bandwidth"):
+            OpoParams(450.0, bandwidth_mhz=0.99e-6)
+        with pytest.raises(ValueError, match="acquisition sample_rate_msps"):
+            AcquisitionParams(sample_rate_msps=1.01e6)
 
 
 @pytest.fixture
@@ -876,6 +888,39 @@ class TestConfigIo:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_keys_at_their_defaults_may_be_left_out(self, name):
+        cfg = get_scenario(name)
+        data = scenario_to_dict(cfg)
+        for spec, keys in [(cfg, data), (cfg.acquisition, data["acquisition"]),
+                           *zip(cfg.chain, data["chain"])]:
+            for field in fields(spec):
+                if field.default is not MISSING and getattr(spec, field.name) == field.default:
+                    del keys[field.name]
+        assert "mode" not in data and "rounds" not in data["acquisition"]
+        assert scenario_from_dict(data) == cfg
+
+    def test_description_may_be_left_out(self):
+        data = scenario_to_dict(get_scenario("fig4a"))
+        del data["description"]
+        assert scenario_from_dict(data) == replace(get_scenario("fig4a"), description="")
+
+    @pytest.mark.parametrize(
+        "path, where",
+        [(("name",), "the config's top level"), (("acquisition",), "the config's top level"),
+         (("chain", 1, "label"), "chain element 1 (loss)"),
+         (("chain", 2, "lo_offset_mhz"), "chain element 2 (hd)")],
+    )
+    def test_missing_required_key_named(self, path, where):
+        data = scenario_to_dict(get_scenario("fig4a"))
+        *keys, last = path
+        target = data
+        for key in keys:
+            target = target[key]
+        del target[last]
+        with pytest.raises(ConfigError, match=re.escape(f"missing key {last!r} in {where}")):
+            scenario_from_dict(data)
 
     def test_unknown_kind_rejected(self):
         data = scenario_to_dict(get_scenario("fig4a"))
