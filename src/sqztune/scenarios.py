@@ -12,7 +12,7 @@ band and LO phase (:meth:`DetectedPair.gains`), taken at the band-centre
 source excess for analytic rows and at each grid bin's for Monte-Carlo
 targets.  So a run or sweep costs one propagation plus one array readout of
 all its points (:func:`_analytic_values`); only Monte-Carlo targets are
-built per point, and the points on one signal stream share its draws.
+built per point, and every Monte-Carlo point reads the one signal stream.
 
 Builtin scenarios (fig4a, fig4b, fig5a, fig5b, fig5c) reproduce the
 measured operating points: direct readout of the source state, the pump
@@ -628,14 +628,15 @@ def _mc_targets(cfg: ScenarioConfig, opo: OpoParams, gains, eta: float, freqs) -
     return [np.choose(band, [_readout(excess, g, eta) for g in row]) for row in gains]
 
 
-# Stream ids keep every synthesized trace of a run statistically independent.
+# Stream ids keep the noise and signal traces statistically independent; every
+# signal model reads the one signal stream, whatever its point's place.
 _SNL_STREAM = 1
 _ELECTRONIC_STREAM = 2
-_SIGNAL_STREAM_BASE = 1000
-# Draws of a whole Monte-Carlo run: (2 noise + one signal stream per MC pump,
-# or one per sweep) x samples per round x rounds.  The builtins draw 7.5e7,
-# 57x below it.
-MAX_DRAWS_PER_RUN = 2**32
+_SIGNAL_STREAM = 1000
+# Spectrum values a Monte-Carlo evaluation holds: (2 noise spectra + a raw
+# and a corrected one per MC point and LO phase) x bins read.  A one-pump,
+# two-phase run on the largest grid holds 1.3e7; fig5a holds 1.5e5.
+MAX_SPECTRUM_VALUES = 2**24
 
 
 def _mode(cfg: ScenarioConfig, mode: str | None) -> str:
@@ -662,21 +663,21 @@ def _analysis_bins(cfg: ScenarioConfig, acq: AcquisitionParams) -> slice:
 
 def _evaluate(cfg: ScenarioConfig, mode: str, acq: AcquisitionParams,
               opos: Sequence[OpoParams], offsets: Sequence[float], etas: Sequence[float],
-              thetas: Sequence[float], streams: Sequence[int | None], whole_grid: bool):
+              thetas: Sequence[float], mc: Sequence[bool], whole_grid: bool):
     """The one evaluator behind :func:`run_scenario` and :func:`sweep`: the
     (analytic values, Monte-Carlo estimates, noise spectra) of checked points.
 
     Point k takes entry k % len(axis) of each axis (one entry, or one per
     point): pump points ``opos``, lock offsets ``offsets``, detection
-    efficiencies ``etas`` and signal ``streams`` (None: no Monte-Carlo).
-    Analytic values are one :func:`_analytic_values` pass, as lists indexed
-    [point][LO phase][band] (None in Monte-Carlo mode).  Other modes check
-    the draw bound and the analysis bins before any draw, draw the noise
-    over the whole grid or the bands' bins, and give the points on one
-    stream one :func:`simulate_spectra` call (common random numbers).  A
-    point's estimates are its phases' (raw, corrected) spectra, or None.
+    efficiencies ``etas`` and Monte-Carlo flags ``mc``.  Analytic values are
+    one :func:`_analytic_values` pass, as lists indexed [point][LO phase][band]
+    (None in Monte-Carlo mode).  Other modes check the analysis bins and
+    MAX_SPECTRUM_VALUES before any draw, draw the noise over the whole grid
+    or the bands' bins, and give the Monte-Carlo points one
+    :func:`simulate_spectra` call on the signal stream.  A point's estimates
+    are its phases' (raw, corrected) spectra, or None.
     """
-    points = max(map(len, (opos, offsets, etas, streams)))
+    points = max(map(len, (opos, offsets, etas, mc)))
     pairs = _response_pairs(cfg)
     gains = [[[pair.gains(theta + offset) for pair in pairs] for theta in thetas]
              for offset in offsets]
@@ -686,43 +687,38 @@ def _evaluate(cfg: ScenarioConfig, mode: str, acq: AcquisitionParams,
     estimates: list = [None] * points
     if mode == "analytic":
         return values, estimates, {}
-    on_stream: dict[int, list[int]] = {}
-    for k in range(points):
-        if streams[k % len(streams)] is not None:
-            on_stream.setdefault(streams[k % len(streams)], []).append(k)
-    count = 2 + len(on_stream)
-    draws = count * int(acq.samples_per_round) * int(acq.rounds)
-    if draws > MAX_DRAWS_PER_RUN:
-        raise ConfigError(
-            f"a Monte-Carlo run of {count} streams x {acq.samples_per_round} samples x "
-            f"{acq.rounds} rounds draws {draws} values, more than "
-            f"MAX_DRAWS_PER_RUN = {MAX_DRAWS_PER_RUN}"
-        )
+    ks = [k for k in range(points) if mc[k % len(mc)]]
     bins = _analysis_bins(cfg, acq)  # a band with no grid bin is a ConfigError on both grids
     bins = slice(None) if whole_grid else bins
+    k0, k1, _ = bins.indices(acq.samples_per_round // 2 + 1)
+    size = (2 + 2 * len(ks) * len(thetas)) * (k1 - k0)
+    if size > MAX_SPECTRUM_VALUES:
+        raise ConfigError(
+            f"{len(ks)} Monte-Carlo points x {len(thetas)} LO phases over {k1 - k0} bins hold "
+            f"{size} spectrum values, more than MAX_SPECTRUM_VALUES = {MAX_SPECTRUM_VALUES}"
+        )
     floor = cfg.electronic_floor
     noise = {
         "snl": simulate_spectrum(NoiseModel(np.ones_like, floor, ()), acq, _SNL_STREAM, bins),
         "electronic": simulate_spectrum(NoiseModel(None, floor, ()), acq, _ELECTRONIC_STREAM, bins),
     }
     freqs = noise["snl"].freqs_mhz
-    for stream, ks in on_stream.items():
-        # A model hands its tabulated target over to the first target_psd
-        # call and keeps no reference, so the array is freed once target_psd
-        # has added the floor to it.
-        models = [
-            NoiseModel(lambda _, held=[target]: held.pop(), floor, cfg.interference_tones)
-            for k in ks
-            for target in _mc_targets(cfg, opos[k % len(opos)], gains[k % len(offsets)],
-                                      etas[k % len(etas)], freqs)
-        ]
-        try:
-            spectra = [(raw, calibrate(raw, noise["snl"], noise["electronic"]))
-                       for raw in simulate_spectra(models, acq, stream, bins)]
-        except ValueError as exc:
-            raise ConfigError(f"{exc} at {acq.rounds} rounds; raise acquisition.rounds") from None
-        for i, k in enumerate(ks):
-            estimates[k] = spectra[i * len(thetas):(i + 1) * len(thetas)]
+    # A model hands its tabulated target over to the first target_psd call
+    # and keeps no reference, so the array is freed once target_psd has added
+    # the floor to it.
+    models = [
+        NoiseModel(lambda _, held=[target]: held.pop(), floor, cfg.interference_tones)
+        for k in ks
+        for target in _mc_targets(cfg, opos[k % len(opos)], gains[k % len(offsets)],
+                                  etas[k % len(etas)], freqs)
+    ]
+    try:
+        spectra = [(raw, calibrate(raw, noise["snl"], noise["electronic"]))
+                   for raw in simulate_spectra(models, acq, _SIGNAL_STREAM, bins)]
+    except ValueError as exc:
+        raise ConfigError(f"{exc} at {acq.rounds} rounds; raise acquisition.rounds") from None
+    for i, k in enumerate(ks):
+        estimates[k] = spectra[i * len(thetas):(i + 1) * len(thetas)]
     return values, estimates, noise
 
 
@@ -732,8 +728,9 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
 
     Every pump is checked before :func:`_evaluate` reads them all, so a bad
     pump is a ConfigError before any Monte-Carlo draw.  The analytic values
-    equal :func:`analytic_noise`.  Monte-Carlo pump k of ``pump_sweep_mw``
-    draws its own signal stream, ``_SIGNAL_STREAM_BASE`` + k.
+    equal :func:`analytic_noise`.  Every Monte-Carlo pump reads the one
+    signal stream, so its rows do not depend on its place in
+    ``pump_sweep_mw`` and equal a one-value pump :func:`sweep` at it.
     """
     mode = _mode(cfg, mode)
     acq = _acquisition(cfg, seed)
@@ -741,12 +738,9 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
     thetas, bands = hd.thetas_rad, hd.analysis_mhz
     symmetric = [cfg.is_symmetric(analysis) for analysis in bands]
     opos = [_opo_params(cfg, pump) for pump in cfg.pump_sweep_mw]  # checked on every path
-    mc_pumps = cfg.pump_sweep_mw if cfg.mc_pump_mw is None else cfg.mc_pump_mw
-    # Streams stay independent across pumps and traces.
-    streams = [_SIGNAL_STREAM_BASE + index if pump in mc_pumps else None
-               for index, pump in enumerate(cfg.pump_sweep_mw)]
+    mc = [cfg.mc_pump_mw is None or pump in cfg.mc_pump_mw for pump in cfg.pump_sweep_mw]
     values, estimates, spectra = _evaluate(cfg, mode, acq, opos, [hd.delta_theta_rad],
-                                           [hd.efficiency], thetas, streams, whole_grid=True)
+                                           [hd.efficiency], thetas, mc, whole_grid=True)
 
     rows: list[ResultRow] = []
     for pump_index, (pump, pump_estimates) in enumerate(zip(cfg.pump_sweep_mw, estimates)):
@@ -828,9 +822,9 @@ def sweep(
     at the first pump, lock offset and detection efficiency of ``cfg``, one
     of them swept.  Every value is checked in order, as the config field it
     stands for, before :func:`_evaluate` reads them all.  Monte-Carlo spectra
-    cover only the analysis bands' bins, and all values share one signal
-    stream, so each value reads the draws its own run would; that draw holds
-    a few KB of band-only arrays per value until its rounds end.
+    cover only the analysis bands' bins, and all values share the one signal
+    stream of every run, so each value reads the draws its own run would;
+    that draw holds a few KB of band-only arrays per value until its rounds end.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {SWEEP_PARAMETERS}")
@@ -859,7 +853,7 @@ def sweep(
     offsets = values if parameter == "delta_theta_rad" else [hd.delta_theta_rad]
     etas = values if parameter == "hd_efficiency" else [hd.efficiency]
     linear, estimates, _ = _evaluate(cfg, mode, acq, opos, offsets, etas, (0.0, math.pi / 2),
-                                     [_SIGNAL_STREAM_BASE], whole_grid=False)
+                                     [True], whole_grid=False)
     analytic_db = [None] * len(values)
     if linear is not None:
         analytic_db = [[db(bands[0]) for bands in point] for point in linear]

@@ -409,13 +409,16 @@ def simulate_spectra(
     each run of them (see :func:`_read_rounds`), and the estimates cover
     only those bins; they equal the whole-grid estimates' slice bit for bit.
     Rounds stream through preallocated buffers in a fixed order: memory
-    stays flat in acq.rounds and the result is deterministic.
+    stays flat in acq.rounds and the result is deterministic; no models read
+    no round.
     """
     n = acq.samples_per_round
     m = n // 2 + 1
     k0, k1, step = bins.indices(m)
     if step != 1 or k1 <= k0:
         raise ValueError(f"bins must be a non-empty, unit-step range of the {m} grid bins")
+    if not models:
+        return []
     nb = k1 - k0
     freqs = acq.grid_range_mhz(k0, k1)
     targets = [model.target_psd(freqs) for model in models]

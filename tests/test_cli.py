@@ -545,23 +545,35 @@ class TestRun:
                 cells = np.loadtxt(path, delimiter=",", skiprows=1)
                 assert cells.shape == (2001, 3) and np.isfinite(cells).all()
 
-    def test_run_over_the_draw_bound_exits_2_undrawn(self, tmp_path, capsys):
-        # 202 streams (noise and 200 pumps) of 50,000 samples x 500 rounds:
-        # 5.05e9 draws, each stream within its own bound.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["run", "{config}", "--mode", "both"],
+          "200 Monte-Carlo points x 2 LO phases over 25001 bins hold 20050802 spectrum values"),
+         (["sweep", "{config}", "--param", "pump_mw", "--values",
+           ",".join(str(p) for p in range(1, 501)), "--mode", "both"],
+          "500 Monte-Carlo points x 2 LO phases over 8388 bins hold 16792776 spectrum values")],
+        ids=["run", "sweep"],
+    )
+    def test_run_over_the_draw_bound_exits_2_undrawn(self, tmp_path, capsys, argv, message):
+        # run: 200 pumps on fig4a's whole 25,001-bin grid; sweep: 500 values
+        # on the band's bins of the largest grid.  Each stream stays within
+        # its own bound.
         data = scenario_to_dict(get_scenario("fig4a"))
         data["pump_sweep_mw"] = [float(p) for p in range(1, 201)]
+        if argv[0] == "sweep":
+            data["acquisition"].update(samples_per_round=2**22, rounds=64)
         config = tmp_path / "pumps.json"
         config.write_text(json.dumps(data))
         tracemalloc.start()
         try:
-            code = main(["run", str(config), "--mode", "both"])
+            code = main([arg.format(config=config) for arg in argv])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 2
         err = capsys.readouterr().err
-        assert "202 streams x 50000 samples x 500 rounds draws 5050000000 values" in err
-        assert "MAX_DRAWS_PER_RUN" in err and "Traceback" not in err
+        assert message in err
+        assert "MAX_SPECTRUM_VALUES" in err and "Traceback" not in err
         assert peak < 2**20
 
 

@@ -597,24 +597,38 @@ class TestRunScenario:
         assert lines[1].startswith("fig4a,")
         assert lines[1].endswith(",true")
 
-    def test_draw_bound_counts_noise_and_mc_pump_streams(self, monkeypatch):
+    def test_draw_bound_counts_noise_and_mc_pump_spectra(self, monkeypatch):
         class Drawn(Exception):
             pass
 
         def drawing(*args):
             raise Drawn
 
-        # 2**30 draws a stream, the per-stream bound; nothing is drawn here.
+        # (2 noise + 2 per MC point and phase) spectra x bins read; nothing is
+        # drawn here.
         monkeypatch.setattr(scenarios, "simulate_spectrum", drawing)
         acq = replace(get_scenario("fig4a").acquisition, samples_per_round=2**22, rounds=256)
         cfg = replace(get_scenario("fig4a"), acquisition=acq, pump_sweep_mw=(90.0, 270.0, 450.0))
-        assert 4 * 2**30 == scenarios.MAX_DRAWS_PER_RUN
-        with pytest.raises(ConfigError, match=r"5 streams x 4194304 samples x 256 rounds "
-                                              r"draws 5368709120 values, more than MAX_DRAWS"):
+        assert 2**24 == scenarios.MAX_SPECTRUM_VALUES
+        with pytest.raises(ConfigError, match=r"3 Monte-Carlo points x 2 LO phases over 2097153 "
+                                              r"bins hold 29360142 spectrum values, more than MAX"):
             run_scenario(cfg, mode="montecarlo")
-        for fits in (replace(cfg, pump_sweep_mw=(90.0, 270.0)), replace(cfg, mc_pump_mw=(90.0, 450.0))):
+        # Two MC pumps fit on up to 1,677,721 bins; a sweep reads its band's
+        # 8,388 bins, so 499 values fit and 500 do not.
+        two_pumps = replace(cfg, mc_pump_mw=(90.0, 450.0))
+        over = [lambda: run_scenario(two_pumps, mode="both"),
+                lambda: run_scenario(fast(two_pumps, samples_per_round=3_355_442), mode="both"),
+                lambda: sweep(cfg, "pump_mw", [float(p) for p in range(1, 501)], mode="both")]
+        fits = [lambda: run_scenario(replace(cfg, mc_pump_mw=(270.0,)), mode="both"),
+                lambda: run_scenario(replace(cfg, mc_pump_mw=()), mode="both"),
+                lambda: run_scenario(fast(two_pumps, samples_per_round=3_355_440), mode="both"),
+                lambda: sweep(cfg, "pump_mw", [float(p) for p in range(1, 500)], mode="both")]
+        for call in over:
+            with pytest.raises(ConfigError, match="MAX_SPECTRUM_VALUES"):
+                call()
+        for call in fits:
             with pytest.raises(Drawn):
-                run_scenario(fits, mode="both")
+                call()
         assert len(run_scenario(cfg, mode="analytic").rows) == 6
 
 
@@ -820,22 +834,53 @@ class TestEvaluator:
             call(get_scenario("fig4a"))
 
     @pytest.mark.parametrize(
-        "changes, streams",
-        [({}, [1, 2, 1002]),
-         ({"pump_sweep_mw": (90.0, 270.0, 450.0), "mc_pump_mw": (90.0, 450.0)},
-          [1, 2, 1000, 1002])],
-        ids=["fig4b", "two-of-three-pumps"],
+        "call",
+        [lambda cfg: run_scenario(cfg, mode="both", seed=3),
+         lambda cfg: run_scenario(replace(cfg, pump_sweep_mw=(90.0, 270.0, 450.0),
+                                          mc_pump_mw=(90.0, 450.0)), mode="both", seed=3),
+         lambda cfg: run_scenario(replace(cfg, mc_pump_mw=None), mode="montecarlo", seed=3),
+         lambda cfg: sweep(cfg, "pump_mw", [270.0], mode="both", seed=3),
+         lambda cfg: sweep(cfg, "pump_mw", [90.0, 450.0, 630.0], mode="montecarlo", seed=3)],
+        ids=["run-fig4b", "run-two-of-three-pumps", "run-every-pump", "sweep-1", "sweep-3"],
     )
-    def test_run_streams_follow_the_pump_index(self, monkeypatch, changes, streams):
+    def test_every_mc_run_and_sweep_draws_one_signal_stream(self, monkeypatch, call):
         drawn = self.drawn_streams(monkeypatch)
-        run_scenario(replace(fast(get_scenario("fig4b")), **changes), mode="both", seed=3)
-        assert drawn == streams
-
-    @pytest.mark.parametrize("values", [[270.0], [90.0, 450.0, 630.0]], ids=["1", "3"])
-    def test_sweep_draws_one_signal_stream(self, monkeypatch, values):
-        drawn = self.drawn_streams(monkeypatch)
-        sweep(fast(get_scenario("fig4b")), "pump_mw", values, mode="both", seed=3)
+        call(fast(get_scenario("fig4b")))
         assert drawn == [1, 2, 1000]
+
+    @pytest.mark.parametrize("mode", ["both", "montecarlo"])
+    def test_no_mc_point_reads_no_signal_stream(self, monkeypatch, mode):
+        read = []
+        read_rounds = timeseries._read_rounds
+
+        def recording_rounds(seed, stream, *args):
+            read.append(stream)
+            return read_rounds(seed, stream, *args)
+
+        monkeypatch.setattr(timeseries, "_read_rounds", recording_rounds)
+        cfg = replace(fast(get_scenario("fig4b")), mc_pump_mw=())
+        result = run_scenario(cfg, mode=mode, seed=3)
+        assert read == [1, 2]
+        assert sorted(result.spectra) == ["electronic", "snl"]
+        assert timeseries.simulate_spectra([], get_scenario("fig4a").acquisition) == []
+        assert read == [1, 2]
+
+    @pytest.mark.parametrize("name", ["fig4b", "fig5c"])
+    def test_run_rows_equal_the_sweep_at_their_pump(self, name):
+        # Every Monte-Carlo pump reads the one signal stream, so its rows
+        # depend on neither its place in the sweep nor the other pumps.
+        cfg = replace(fast(get_scenario(name)), mc_pump_mw=None)
+        rows = {}
+        for pumps in (cfg.pump_sweep_mw, cfg.pump_sweep_mw[::-1]):
+            result = run_scenario(replace(cfg, pump_sweep_mw=pumps), mode="both", seed=5)
+            rows[pumps] = {(row.pump_mw, round(math.degrees(row.theta_rad))): row.mc_db
+                           for row in result.rows}
+        forward, backward = rows.values()
+        assert len(forward) == 18 and forward == backward
+        for pump in cfg.pump_sweep_mw:
+            (record,) = sweep(cfg, "pump_mw", [pump], mode="both", seed=5)
+            assert record["squeezed_mc_db"] == forward[pump, 0]
+            assert record["antisqueezed_mc_db"] == forward[pump, 90]
 
     def test_montecarlo_sweep_fills_the_model_columns(self):
         records = sweep(fast(get_scenario("fig4b")), "pump_mw", [270.0, 450.0],
