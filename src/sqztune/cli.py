@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -20,6 +19,7 @@ from .scenarios import (
     ScenarioResult,
     emit_reference,
     get_scenario,
+    json_text,
     list_scenarios,
     load_config,
     run_scenario,
@@ -106,14 +106,20 @@ def _writing_into(path: Path):
         raise ConfigError(f"cannot write output into {str(path)!r}: {exc}") from None
 
 
+def _emit(args: argparse.Namespace, stem: str, csv_text: str, data) -> None:
+    """Print a table as ``csv_text`` or as the JSON of ``data``, per
+    ``--format``, and write the same text to ``<stem>.<format>`` in ``--out``."""
+    text = json_text(data) if args.format == "json" else csv_text
+    print(text, end="")
+    if args.out is not None:
+        with _writing_into(args.out):
+            (args.out / f"{stem}.{args.format}").write_text(text)
+
+
 def _write_outputs(result: ScenarioResult, out_dir: Path, fmt: str) -> None:
     with _writing_into(out_dir):
-        if fmt == "json":
-            path = out_dir / f"{result.name}_summary.json"
-            path.write_text(json.dumps(_result_dict(result), indent=2) + "\n")
-        else:
-            path = out_dir / f"{result.name}_summary.csv"
-            path.write_text(summary_csv(result))
+        text = json_text(_result_dict(result)) if fmt == "json" else summary_csv(result)
+        (out_dir / f"{result.name}_summary.{fmt}").write_text(text)
         write_spectra_csv(
             [(spectrum, out_dir / f"{result.name}_{key}.csv")
              for key, spectrum in result.spectra.items()]
@@ -140,14 +146,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out is not None:
         _make_dir(args.out)
     records = sweep(cfg, args.param, values, mode=args.mode, seed=args.seed)
-    text = sweep_csv(records)
-    if args.format == "json":
-        text = json.dumps(records, indent=2) + "\n"
-    print(text, end="")
-    if args.out is not None:
-        suffix = "json" if args.format == "json" else "csv"
-        with _writing_into(args.out):
-            (args.out / f"{cfg.name}_sweep_{args.param}.{suffix}").write_text(text)
+    _emit(args, f"{cfg.name}_sweep_{args.param}", sweep_csv(records), records)
     return EXIT_OK
 
 
@@ -167,14 +166,7 @@ def _cmd_reference(args: argparse.Namespace) -> int:
     if args.out is not None:
         _make_dir(args.out)
     entries = sorted(REFERENCE_TABLE, key=lambda e: (e.scenario, e.quantity))
-    text = emit_reference(entries)
-    if args.format == "json":
-        text = json.dumps([entry.__dict__ for entry in entries], indent=2) + "\n"
-    print(text, end="")
-    if args.out is not None:
-        suffix = "json" if args.format == "json" else "csv"
-        with _writing_into(args.out):
-            (args.out / f"reference.{suffix}").write_text(text)
+    _emit(args, "reference", emit_reference(entries), [entry.__dict__ for entry in entries])
     return EXIT_OK
 
 

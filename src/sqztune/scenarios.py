@@ -86,13 +86,9 @@ def _check_real(owner: str, name: str, value, lo: float = -math.inf, hi: float =
 
 def _check_distinct(name: str, values, label) -> None:
     """Reject two entries of a config list that print the same output label."""
-    if len(values) < 2:
-        return
-    tags = list(map(label, values))
-    if len(set(tags)) == len(tags):
-        return
     seen = {}
-    for value, tag in zip(values, tags):
+    for value in values:
+        tag = label(value)
         if tag in seen:
             raise ConfigError(
                 f"{name} values {seen[tag]!r} and {value!r} share the output label {tag!r}"
@@ -435,14 +431,31 @@ _REFERENCE_INDEX = {(e.scenario, e.quantity): e for e in REFERENCE_TABLE}
 REFERENCE_CSV_HEADER = ["scenario", "quantity", "paper_value_db", "tolerance_db", "provenance"]
 
 
-def emit_reference(entries: Sequence[ReferenceEntry] = REFERENCE_TABLE) -> str:
-    """Reference table as CSV text (deterministic ordering)."""
+def _csv_cell(value) -> str:
+    """The one cell rule of every CSV table: a number as its repr, a bool in
+    lower case, None as an empty cell and text as it is."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else repr(value)
+
+
+def _csv_table(header: Sequence[str], rows) -> str:
+    """CSV text of ``rows`` under ``header``, each cell by :func:`_csv_cell`."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(REFERENCE_CSV_HEADER)
-    for e in sorted(entries, key=lambda e: (e.scenario, e.quantity)):
-        writer.writerow([e.scenario, e.quantity, repr(e.paper_value_db), repr(e.tolerance_db), e.provenance])
+    writer.writerow(header)
+    writer.writerows(map(_csv_cell, row) for row in rows)
     return out.getvalue()
+
+
+def emit_reference(entries: Sequence[ReferenceEntry] = REFERENCE_TABLE) -> str:
+    """Reference table as CSV text (deterministic ordering)."""
+    return _csv_table(REFERENCE_CSV_HEADER, (
+        [e.scenario, e.quantity, e.paper_value_db, e.tolerance_db, e.provenance]
+        for e in sorted(entries, key=lambda e: (e.scenario, e.quantity))
+    ))
 
 
 def parse_reference(text: str) -> tuple[ReferenceEntry, ...]:
@@ -639,16 +652,13 @@ _SIGNAL_STREAM = 1000
 MAX_SPECTRUM_VALUES = 2**24
 
 
-def _mode(cfg: ScenarioConfig, mode: str | None) -> str:
+def _mode_and_acquisition(cfg: ScenarioConfig, mode: str | None, seed: int | None):
+    """The config's mode and acquisition, with ``mode`` and ``seed`` where given."""
     mode = cfg.mode if mode is None else mode
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
-
-
-def _acquisition(cfg: ScenarioConfig, seed: int | None) -> AcquisitionParams:
     try:
-        return cfg.acquisition if seed is None else replace(cfg.acquisition, rng_seed=seed)
+        return mode, cfg.acquisition if seed is None else replace(cfg.acquisition, rng_seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -661,6 +671,16 @@ def _analysis_bins(cfg: ScenarioConfig, acq: AcquisitionParams) -> slice:
         raise ConfigError(f"{exc} on the {acq.samples_per_round}-sample grid") from None
 
 
+def _positive(noise: np.ndarray) -> np.ndarray:
+    """``noise`` (SNL units), checked positive: only a source at threshold on
+    a lossless chain reads 0, or by rounding less, where no dB value exists."""
+    low = float(noise.min())
+    if not low > 0:
+        raise ConfigError(f"noise power {low!r} (SNL units) is not positive: "
+                          "the source sits at threshold on a lossless chain")
+    return noise
+
+
 def _evaluate(cfg: ScenarioConfig, mode: str, acq: AcquisitionParams,
               opos: Sequence[OpoParams], offsets: Sequence[float], etas: Sequence[float],
               thetas: Sequence[float], mc: Sequence[bool], whole_grid: bool):
@@ -671,10 +691,11 @@ def _evaluate(cfg: ScenarioConfig, mode: str, acq: AcquisitionParams,
     point): pump points ``opos``, lock offsets ``offsets``, detection
     efficiencies ``etas`` and Monte-Carlo flags ``mc``.  Analytic values are
     one :func:`_analytic_values` pass, as lists indexed [point][LO phase][band]
-    (None in Monte-Carlo mode).  Other modes check the analysis bins and
-    MAX_SPECTRUM_VALUES before any draw, draw the noise over the whole grid
-    or the bands' bins, and give the Monte-Carlo points one
-    :func:`simulate_spectra` call on the signal stream.  A point's estimates
+    (None in Monte-Carlo mode).  Other modes check the analysis bins,
+    MAX_SPECTRUM_VALUES and the Monte-Carlo targets before any draw, give
+    the Monte-Carlo points one :func:`simulate_spectra` call on the signal
+    stream, and draw the noise, over the whole grid or the bands' bins.
+    Every analytic value and target must be positive.  A point's estimates
     are its phases' (raw, corrected) spectra, or None.
     """
     points = max(map(len, (opos, offsets, etas, mc)))
@@ -683,7 +704,8 @@ def _evaluate(cfg: ScenarioConfig, mode: str, acq: AcquisitionParams,
              for offset in offsets]
     values = None
     if mode != "montecarlo":
-        values = _analytic_values(cfg, opos, gains, np.array(etas)[:, None, None]).tolist()
+        values = _positive(_analytic_values(cfg, opos, gains, np.array(etas)[:, None, None]))
+        values = values.tolist()
     estimates: list = [None] * points
     if mode == "analytic":
         return values, estimates, {}
@@ -698,23 +720,25 @@ def _evaluate(cfg: ScenarioConfig, mode: str, acq: AcquisitionParams,
             f"{size} spectrum values, more than MAX_SPECTRUM_VALUES = {MAX_SPECTRUM_VALUES}"
         )
     floor = cfg.electronic_floor
-    noise = {
-        "snl": simulate_spectrum(NoiseModel(np.ones_like, floor, ()), acq, _SNL_STREAM, bins),
-        "electronic": simulate_spectrum(NoiseModel(None, floor, ()), acq, _ELECTRONIC_STREAM, bins),
-    }
-    freqs = noise["snl"].freqs_mhz
+    freqs = acq.grid_range_mhz(k0, k1)
     # A model hands its tabulated target over to the first target_psd call
     # and keeps no reference, so the array is freed once target_psd has added
     # the floor to it.
     models = [
-        NoiseModel(lambda _, held=[target]: held.pop(), floor, cfg.interference_tones)
+        NoiseModel(lambda _, held=[_positive(target)]: held.pop(), floor, cfg.interference_tones)
         for k in ks
         for target in _mc_targets(cfg, opos[k % len(opos)], gains[k % len(offsets)],
                                   etas[k % len(etas)], freqs)
     ]
+    # Each stream's rounds are keyed by (seed, stream, round), so drawing the
+    # signal first changes no value and frees the targets before any round.
+    raws = simulate_spectra(models, acq, _SIGNAL_STREAM, bins)
+    noise = {
+        "snl": simulate_spectrum(NoiseModel(np.ones_like, floor, ()), acq, _SNL_STREAM, bins),
+        "electronic": simulate_spectrum(NoiseModel(None, floor, ()), acq, _ELECTRONIC_STREAM, bins),
+    }
     try:
-        spectra = [(raw, calibrate(raw, noise["snl"], noise["electronic"]))
-                   for raw in simulate_spectra(models, acq, _SIGNAL_STREAM, bins)]
+        spectra = [(raw, calibrate(raw, noise["snl"], noise["electronic"])) for raw in raws]
     except ValueError as exc:
         raise ConfigError(f"{exc} at {acq.rounds} rounds; raise acquisition.rounds") from None
     for i, k in enumerate(ks):
@@ -732,8 +756,7 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
     signal stream, so its rows do not depend on its place in
     ``pump_sweep_mw`` and equal a one-value pump :func:`sweep` at it.
     """
-    mode = _mode(cfg, mode)
-    acq = _acquisition(cfg, seed)
+    mode, acq = _mode_and_acquisition(cfg, mode, seed)
     hd = cfg.hd
     thetas, bands = hd.thetas_rad, hd.analysis_mhz
     symmetric = [cfg.is_symmetric(analysis) for analysis in bands]
@@ -756,7 +779,8 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
                     mc_db = db(band_power(pump_estimates[i][1], analysis, acq.band_width_mhz))
                 quantity = _quantity_name(sym, pump, theta, analysis)
                 ref = _REFERENCE_INDEX.get((cfg.name, quantity))
-                row = ResultRow(
+                model_db = mc_db if analytic_db is None else analytic_db
+                rows.append(ResultRow(
                     scenario=cfg.name,
                     quantity=quantity,
                     pump_mw=pump,
@@ -767,12 +791,9 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
                     mc_db=mc_db,
                     reference_db=None if ref is None else ref.paper_value_db,
                     tolerance_db=None if ref is None else ref.tolerance_db,
-                    passed=None,
-                )
-                if ref is not None and row.model_db is not None:
-                    passed = abs(row.model_db - ref.paper_value_db) <= ref.tolerance_db
-                    row = replace(row, passed=passed)
-                rows.append(row)
+                    passed=None if ref is None or model_db is None
+                    else abs(model_db - ref.paper_value_db) <= ref.tolerance_db,
+                ))
     return ScenarioResult(cfg.name, mode, acq.rng_seed, tuple(rows), spectra)
 
 
@@ -782,21 +803,11 @@ def summary_csv(result: ScenarioResult) -> str:
     A row with neither an analytic nor a Monte-Carlo value (a pump outside
     ``mc_pump_mw`` in Monte-Carlo mode) has an empty ``model_db`` cell.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["scenario", "quantity", "model_db", "reference_db", "tolerance_db", "pass"])
-    for row in result.rows:
-        writer.writerow(
-            [
-                row.scenario,
-                row.quantity,
-                "" if row.model_db is None else repr(row.model_db),
-                "" if row.reference_db is None else repr(row.reference_db),
-                "" if row.tolerance_db is None else repr(row.tolerance_db),
-                "" if row.passed is None else str(row.passed).lower(),
-            ]
-        )
-    return out.getvalue()
+    return _csv_table(
+        ["scenario", "quantity", "model_db", "reference_db", "tolerance_db", "pass"],
+        ([row.scenario, row.quantity, row.model_db, row.reference_db, row.tolerance_db, row.passed]
+         for row in result.rows),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -833,8 +844,7 @@ def sweep(
     hd = cfg.hd
     if not cfg.is_symmetric(hd.analysis_mhz[0]):
         raise ConfigError("sweep supports scenarios with the LO matched to the state")
-    mode = _mode(cfg, mode)
-    acq = _acquisition(cfg, seed)  # the seed is checked in every mode, as run_scenario does
+    mode, acq = _mode_and_acquisition(cfg, mode, seed)
 
     values = [float(value) for value in values]
     opos = []  # the pump axis' own pump points, else the first pump's
@@ -878,13 +888,8 @@ def sweep(
 
 
 def sweep_csv(records: Sequence[dict]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = list(records[0].keys())
-    writer.writerow(header)
-    for rec in records:
-        writer.writerow([rec[k] if isinstance(rec[k], str) else repr(rec[k]) for k in header])
-    return out.getvalue()
+    header = list(records[0])
+    return _csv_table(header, ([rec[key] for key in header] for rec in records))
 
 
 # ---------------------------------------------------------------------------
@@ -1068,8 +1073,13 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"invalid scenario config: {exc}") from None
 
 
+def json_text(data) -> str:
+    """JSON text as every output file holds it: indented by 2, one final newline."""
+    return json.dumps(data, indent=2) + "\n"
+
+
 def save_config(cfg: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(cfg), indent=2) + "\n")
+    Path(path).write_text(json_text(scenario_to_dict(cfg)))
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

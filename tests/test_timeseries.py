@@ -479,7 +479,6 @@ class TestCalibrate:
         elec = SpectrumEstimate(freqs, np.full(100, 0.1), np.zeros(100))
         out = calibrate(snl, snl, elec)
         assert np.allclose(out.psd, 1.0, atol=1e-12)
-        assert out.normalization == "corrected"
         assert not out.clipped
 
     def test_signal_at_electronic_floor_clips(self):
