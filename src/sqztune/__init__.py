@@ -17,9 +17,7 @@ from .gaussian_core import (
     apply_uniform_loss,
     is_physical,
     partial_trace,
-    quadrature_variance,
     symplectic_eigenvalues,
-    vacuum_state,
 )
 from .homodyne import (
     DetectedPair,
@@ -66,8 +64,6 @@ from .timeseries import (
     band_power,
     band_power_stderr,
     calibrate,
-    estimate_spectrum,
-    mean_power,
     periodogram,
     simulate_spectrum,
     spectrum_from_csv,

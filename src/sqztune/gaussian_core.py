@@ -10,6 +10,7 @@ vacuum state has unit variance in every quadrature: shot-noise level = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,7 +46,7 @@ class ModeLabel:
         if it is not a finite number of grid steps.
         """
         raw = detuning_mhz * 1e6 / GRID_HZ
-        if not np.isfinite(raw):
+        if not math.isfinite(raw):
             raise ValueError(f"detuning {detuning_mhz} MHz is not a finite number of grid steps")
         steps = round(raw)
         if abs(raw - steps) > 1e-6 * max(1.0, abs(raw)):
@@ -120,17 +121,6 @@ class GaussianState:
         except ValueError:
             raise ValueError(f"mode {mode} not present in state {self.modes}") from None
 
-    def mode_block(self, mode: ModeLabel) -> NDArray[np.float64]:
-        """2x2 covariance block of a single mode."""
-        i = 2 * self.index(mode)
-        return self.cov[i : i + 2, i : i + 2].copy()
-
-
-def vacuum_state(modes: Sequence[ModeLabel]) -> GaussianState:
-    """Vacuum on the given modes: identity covariance (SNL = 1)."""
-    modes = _check_modes(modes)
-    return GaussianState(modes, np.eye(2 * len(modes)))
-
 
 @dataclass(frozen=True)
 class SymplecticOp:
@@ -200,13 +190,6 @@ def apply_loss(state: GaussianState, mode: ModeLabel, eta: float) -> GaussianSta
     return apply_uniform_loss(state, eta, (mode,))
 
 
-def quadrature_variance(state: GaussianState, mode: ModeLabel, theta: float) -> float:
-    """Variance of the rotated quadrature X_theta = cos(theta) X + sin(theta) P."""
-    c = state.mode_block(mode)
-    ct, st = np.cos(theta), np.sin(theta)
-    return float(ct * ct * c[0, 0] + st * st * c[1, 1] + 2.0 * st * ct * c[0, 1])
-
-
 def partial_trace(state: GaussianState, keep: Sequence[ModeLabel]) -> GaussianState:
     """Restrict the state to ``keep`` (in the given order), discarding the rest."""
     keep = _check_modes(keep)
@@ -237,54 +220,36 @@ def is_physical(state: GaussianState, slack: float = UNCERTAINTY_SLACK) -> bool:
     return bool(symplectic_eigenvalues(state).min() >= 1.0 - slack)
 
 
-# ---------------------------------------------------------------------------
-# Standard symplectic building blocks
-# ---------------------------------------------------------------------------
-
-def squeezer(r: float, mode: ModeLabel) -> SymplecticOp:
-    """Single-mode squeezer: X -> exp(-r) X, P -> exp(r) P."""
-    mat = np.diag([np.exp(-r), np.exp(r)])
-    return SymplecticOp(mat, (mode,))
-
-
-def phase_rotation(phi: float, mode: ModeLabel) -> SymplecticOp:
-    """Optical phase shift a -> exp(i phi) a."""
-    c, s = np.cos(phi), np.sin(phi)
-    return SymplecticOp(np.array([[c, -s], [s, c]]), (mode,))
-
-
-def two_mode_squeezer(r: float, mode_a: ModeLabel, mode_b: ModeLabel) -> SymplecticOp:
-    """Two-mode squeezer whose (X_a+X_b) and (P_a-P_b) combinations are squeezed."""
-    ch, sh = np.cosh(r), np.sinh(r)
-    mat = np.array(
-        [
-            [ch, 0.0, -sh, 0.0],
-            [0.0, ch, 0.0, sh],
-            [-sh, 0.0, ch, 0.0],
-            [0.0, sh, 0.0, ch],
-        ]
-    )
-    return SymplecticOp(mat, (mode_a, mode_b))
-
-
-def symplectic_from_unitary(
-    unitary: NDArray[np.complex128], modes: Sequence[ModeLabel]
-) -> SymplecticOp:
-    """Symplectic op of a passive linear-optics unitary on annihilation operators.
-
-    For a' = U a with U = A + iB, quadratures map as X' = A X - B P and
-    P' = B X + A P, giving 2x2 blocks [[A, -B], [B, A]] per mode pair.
-    """
+def check_unitary(unitary: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """``unitary`` as a complex array, checked square and unitary within 1e-12."""
     u = np.asarray(unitary, dtype=complex)
     n = u.shape[0]
     if u.shape != (n, n):
         raise ValueError("unitary must be square")
     if np.abs(u @ u.conj().T - np.eye(n)).max() > 1e-12:
         raise ValueError("matrix is not unitary within tolerance")
+    return u
+
+
+def real_form(transfer: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """Quadrature form of a square mode transfer a' = M a.
+
+    For M = A + iB, quadratures map as X' = A X - B P and P' = B X + A P,
+    giving 2x2 blocks [[A, -B], [B, A]] per mode pair.
+    """
+    n = len(transfer)
     mat = np.zeros((2 * n, 2 * n))
-    a, b = u.real, u.imag
+    a, b = transfer.real, transfer.imag
     mat[0::2, 0::2] = a
     mat[1::2, 1::2] = a
     mat[0::2, 1::2] = -b
     mat[1::2, 0::2] = b
-    return SymplecticOp(mat, tuple(modes))
+    return mat
+
+
+def symplectic_from_unitary(
+    unitary: NDArray[np.complex128], modes: Sequence[ModeLabel]
+) -> SymplecticOp:
+    """Symplectic op of a passive linear-optics unitary on annihilation
+    operators, a' = U a (see :func:`real_form`)."""
+    return SymplecticOp(real_form(check_unitary(unitary)), tuple(modes))

@@ -5,8 +5,11 @@ A balanced detector with its local oscillator at ``lo`` and electronic
 analysis frequency ``nu`` reads out the sideband pair at lo +- nu.  The
 noise power in SNL units is the phase-weighted sum of the pair's symmetric
 and antisymmetric quadrature combinations; vacuum gives exactly 1.
-The pair of a chain's response, detected at unit efficiency, gives the two
-gains through which any source's excess noise reads out
+One reduction (:meth:`DetectedPair.of_covariance`) turns the pair's 4x4
+covariance into a :class:`DetectedPair`: :func:`detect_pair` applies it to a
+physical state, and the scenario runner to the covariance of a chain's
+transfer map.  The pair of a chain's response, detected at unit efficiency,
+gives the two gains through which any source's excess noise reads out
 (:meth:`DetectedPair.gains`).
 """
 
@@ -49,6 +52,21 @@ class DetectedPair:
     minus_variance: float
     cross_term: float
 
+    @classmethod
+    def of_covariance(cls, c) -> "DetectedPair":
+        """The pair of a 4x4 covariance in the order lower (X, P), upper (X, P)."""
+        x_sum = 0.5 * (c[0, 0] + c[2, 2])
+        p_sum = 0.5 * (c[1, 1] + c[3, 3])
+        var_x_plus = x_sum + c[0, 2]
+        var_x_minus = x_sum - c[0, 2]
+        var_p_plus = p_sum + c[1, 3]
+        var_p_minus = p_sum - c[1, 3]
+        return cls(
+            float(0.5 * (var_x_plus + var_p_minus)),
+            float(0.5 * (var_x_minus + var_p_plus)),
+            float(c[2, 1] + c[0, 3]),
+        )
+
     def gains(self, theta_eff: float) -> tuple[float, float]:
         """Gains (a, b) at the effective LO phase of this pair taken as a
         chain's response (detected at unit efficiency from vs = 2, va = 1).
@@ -70,7 +88,8 @@ class DetectedPair:
 def detect_pair(
     state: GaussianState, lo: ModeLabel, nu_mhz: float, efficiency: float = 1.0
 ) -> DetectedPair:
-    """Reduce the state to the sideband pair read out at lo +- nu_mhz.
+    """Reduce the state to the sideband pair read out at lo +- nu_mhz
+    (:meth:`DetectedPair.of_covariance`).
 
     Sideband modes missing from the state are treated as vacuum, which is
     exactly the situation of a frequency-shifted state read out with the
@@ -83,19 +102,7 @@ def detect_pair(
     missing = tuple(m for m in (lower, upper) if m not in state.modes)
     work = add_vacuum_modes(state, missing)
     pair = apply_uniform_loss(partial_trace(work, (lower, upper)), efficiency)
-    c = pair.cov  # order: lower (X, P), upper (X, P)
-
-    x_sum = 0.5 * (c[0, 0] + c[2, 2])
-    p_sum = 0.5 * (c[1, 1] + c[3, 3])
-    var_x_plus = x_sum + c[0, 2]
-    var_x_minus = x_sum - c[0, 2]
-    var_p_plus = p_sum + c[1, 3]
-    var_p_minus = p_sum - c[1, 3]
-    return DetectedPair(
-        float(0.5 * (var_x_plus + var_p_minus)),
-        float(0.5 * (var_x_minus + var_p_plus)),
-        float(c[2, 1] + c[0, 3]),
-    )
+    return DetectedPair.of_covariance(pair.cov)
 
 
 def hd_noise_power(

@@ -1,7 +1,9 @@
 """
-Optical chain elements acting on Gaussian states: below-threshold parametric
-source (OPO), acousto-optic frequency shifter (AOM), the two-AOM
-interferometric frequency tuner (ABI), and :func:`chain_efficiency`.
+Optical chain elements: below-threshold parametric source (OPO),
+acousto-optic frequency shifter (AOM), the two-AOM interferometric frequency
+tuner (ABI), and :func:`chain_efficiency`.  The passive elements act on a
+Gaussian state's covariance or on a chain's transfer map
+(:data:`TransferMap`), by the same pairing rule (:func:`_partners`).
 
 An AOM couples the mode pair (delta, delta + shift): the transmitted path
 keeps its frequency while the diffracted path moves by the acoustic drive
@@ -23,6 +25,7 @@ from .gaussian_core import (
     GaussianState,
     ModeLabel,
     apply_uniform_loss,
+    check_unitary,
     symplectic_from_unitary,
 )
 
@@ -187,23 +190,32 @@ def abi_ideal_unitary(phi_rad: float) -> NDArray[np.complex128]:
     )
 
 
+def _partners(modes: tuple[ModeLabel, ...], shift_mhz: float) -> tuple[ModeLabel, ...]:
+    """The ``+shift`` partner of each mode, the upper member of that mode's
+    pair.  A partner that is already a mode would sit in two pairs, so it is
+    rejected."""
+    present = set(modes)
+    uppers = tuple(m.shifted_mhz(shift_mhz) for m in modes)
+    overlap = [m for m in uppers if m in present]
+    if overlap:
+        raise ValueError(f"mode pairs overlap: {overlap[0]} is a mode and a shifted partner")
+    return uppers
+
+
 def _couple_pairs(
     state: GaussianState, u: NDArray[np.complex128], shift_mhz: float
 ) -> GaussianState:
     """Couple every mode with its ``+shift`` partner through the pair unitary ``u``.
 
     Each mode of the state is the lower input of its own (delta, delta +
-    shift) pair; partners missing from the state enter as vacuum.  A partner
-    that is already a mode of the state would sit in two pairs, so it is
-    rejected.  ``u`` is converted and checked once, as the symplectic block
-    of one pair, and that block is placed on every pair: the block-diagonal
-    symplectic of all pairs holds nothing else and passes the same checks.
+    shift) pair; partners missing from the state enter as vacuum, and an
+    overlap is rejected (:func:`_partners`).  ``u`` is converted and checked
+    once, as the symplectic block of one pair, and that block is placed on
+    every pair: the block-diagonal symplectic of all pairs holds nothing else
+    and passes the same checks.
     """
     modes = state.modes
-    uppers = tuple(m.shifted_mhz(shift_mhz) for m in modes)
-    overlap = [m for m in uppers if m in modes]
-    if overlap:
-        raise ValueError(f"mode pairs overlap: {overlap[0]} is a mode and a shifted partner")
+    uppers = _partners(modes, shift_mhz)
     block = symplectic_from_unitary(u, (modes[0], uppers[0])).matrix
     n = len(modes)
     # Axes (lower/upper, pair, quadrature) of rows, then of columns: the
@@ -215,6 +227,32 @@ def _couple_pairs(
     cov = np.eye(4 * n)
     cov[: 2 * n, : 2 * n] = state.cov
     return GaussianState(modes + uppers, full @ cov @ full.T)
+
+
+# A passive chain's transfer map: each mode's complex amplitudes from the
+# source sideband pair (-nu, +nu).  A mode absent from the map carries none.
+TransferMap = dict[ModeLabel, NDArray[np.complex128]]
+
+
+def attenuate_response(response: TransferMap, eta: float) -> TransferMap:
+    """The map after a loss of efficiency ``eta`` on every mode: each
+    amplitude times sqrt(eta)."""
+    root = np.sqrt(eta)
+    return {mode: amplitude * root for mode, amplitude in response.items()}
+
+
+def couple_response(
+    response: TransferMap, u: NDArray[np.complex128], shift_mhz: float
+) -> TransferMap:
+    """The map after the pair unitary ``u`` on every (mode, mode + shift) pair,
+    as :func:`_couple_pairs` couples a state: the partners enter with no
+    amplitude, so entry m goes to m times u[0, 0] and to its partner times
+    u[1, 0].  Every partner is entered, and ``u`` is checked once."""
+    u = check_unitary(u)
+    uppers = _partners(tuple(response), shift_mhz)
+    amplitudes = list(response.values())
+    return dict(zip(tuple(response) + uppers,
+                    [u[0, 0] * a for a in amplitudes] + [u[1, 0] * a for a in amplitudes]))
 
 
 def apply_aom(state: GaussianState, t: float, r: float, shift_mhz: float) -> GaussianState:

@@ -5,13 +5,15 @@ with tolerances, an analytic + Monte-Carlo runner, and parameter sweeps.
 
 Runs and sweeps check all their points before any Monte-Carlo draw and
 then share one evaluator (:func:`_evaluate`).  It reads one pump-independent
-chain response (:func:`chain_response`), propagated once and detected once
-per analysis band.  The readout is linear in the source's excess noise: the
+chain response (:func:`chain_response`): the chain's transfer map, the
+complex amplitudes with which the source sideband pair reaches each mode.
+Each analysis band reads its 2x2 transfer from the map and is detected once
+(:func:`_detected`).  The readout is linear in the source's excess noise: the
 homodyne noise is 1 + eta ((vs - 1) a + (va - 1) b), with gains (a, b) per
 band and LO phase (:meth:`DetectedPair.gains`), taken at the band-centre
 source excess for analytic rows and at each grid bin's for Monte-Carlo
-targets.  So a run or sweep costs one propagation plus one array readout of
-all its points (:func:`_analytic_values`); only Monte-Carlo targets are
+targets.  So a run or sweep costs one transfer map plus one array readout
+of all its points (:func:`_analytic_values`); only Monte-Carlo targets are
 built per point, and every Monte-Carlo point reads the one signal stream.
 
 Builtin scenarios (fig4a, fig4b, fig5a, fig5b, fig5c) reproduce the
@@ -34,15 +36,19 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .gaussian_core import GaussianState, ModeLabel, apply_uniform_loss
-from .homodyne import DetectedPair, db, detect_pair
+from .gaussian_core import GaussianState, ModeLabel, apply_uniform_loss, real_form
+from .homodyne import DetectedPair, db
 from .optics_components import (
     MIN_BANDWIDTH_MHZ,
     SPLIT_NORM_TOL,
     OpoParams,
+    TransferMap,
+    _couple_pairs,
     abi_efficiency,
-    apply_abi,
-    apply_aom,
+    abi_ideal_unitary,
+    aom_unitary,
+    attenuate_response,
+    couple_response,
     opo_sideband_state,
     opo_variances,
     sideband_pair_state,
@@ -366,17 +372,6 @@ class ScenarioConfig:
         upper, lower = self._member_detunings(analysis_mhz)
         return upper == lower
 
-    @property
-    def chain_efficiency_total(self) -> float:
-        """Product of every efficiency factor from source escape to detection."""
-        eta = self.source.escape_efficiency * self.hd.efficiency
-        for element in self.chain[1:-1]:
-            if isinstance(element, LossSpec):
-                eta *= element.efficiency
-            elif isinstance(element, AbiSpec):
-                eta *= abi_efficiency(element.zeta, element.visibility)
-        return eta
-
 
 # ---------------------------------------------------------------------------
 # Reference values
@@ -534,51 +529,78 @@ def _opo_params(cfg: ScenarioConfig, pump: float) -> OpoParams:
         raise ConfigError(str(exc)) from None
 
 
-def _propagate(cfg: ScenarioConfig, state: GaussianState) -> GaussianState:
-    """``state`` sent through every mid-chain element.
-
-    A tuner or AOM whose shift pairs a mode with a partner that is already
-    paired (its mode pairs overlap) is a ConfigError naming the element.
+def _walk(cfg: ScenarioConfig, start, loss, couple):
+    """``start``, a state or a transfer map, sent through every mid-chain
+    element: ``loss(start, eta)`` is a uniform loss and ``couple(start, u,
+    shift_mhz)`` couples every mode with its shifted partner through the pair
+    unitary ``u``.  An AOM couples; a tuner couples, then loses its
+    :func:`abi_efficiency`.  A shift that pairs a mode with a partner that is
+    already paired (its mode pairs overlap) is a ConfigError naming the element.
     """
     for position, element in enumerate(cfg.chain[1:-1], start=1):
         if isinstance(element, LossSpec):
-            state = apply_uniform_loss(state, element.efficiency)
+            start = loss(start, element.efficiency)
             continue
         try:
             if isinstance(element, AbiSpec):
-                state = apply_abi(
-                    state, element.shift_mhz, element.zeta, element.visibility, element.phi_rad
-                )
+                coupled = couple(start, abi_ideal_unitary(element.phi_rad), element.shift_mhz)
+                start = loss(coupled, abi_efficiency(element.zeta, element.visibility))
             else:
-                state = apply_aom(state, element.t, element.r, element.shift_mhz)
+                start = couple(start, aom_unitary(element.t, element.r), element.shift_mhz)
         except ValueError as exc:
             kind = _CLASS_TO_KIND[type(element)]
             raise ConfigError(
                 f"chain element {position} ({kind}, shift {element.shift_mhz:g} MHz): {exc}"
             ) from None
-    return state
+    return start
+
+
+def _propagate(cfg: ScenarioConfig, state: GaussianState) -> GaussianState:
+    """``state`` sent through every mid-chain element, covariance and all."""
+    return _walk(cfg, state, apply_uniform_loss, _couple_pairs)
 
 
 def propagate_chain(cfg: ScenarioConfig, pump_mw: float) -> GaussianState:
     """Source sideband pair at ``pump_mw`` propagated through every mid-chain
-    element: the physical state, which :func:`chain_response` stands in for."""
+    element: the physical state, the covariance reference of
+    :func:`chain_response`.  No run or sweep calls it."""
     return _propagate(cfg, opo_sideband_state(_opo_params(cfg, pump_mw), cfg.source_detuning_mhz))
 
 
-def chain_response(cfg: ScenarioConfig) -> GaussianState:
-    """The source sideband pair with unit excess noise in its squeezed
-    combinations (vs = 2, va = 1: covariance I + (I + K)/2) propagated through
-    every mid-chain element.  It holds no pump: its pairs, detected at unit
-    efficiency, give the gains through which any source reads out
-    (:meth:`DetectedPair.gains`)."""
-    return _propagate(cfg, sideband_pair_state(2.0, 1.0, cfg.source_detuning_mhz))
+def chain_response(cfg: ScenarioConfig) -> TransferMap:
+    """The chain's transfer map: each mode's complex amplitudes from the
+    source sideband pair (-nu, +nu), in the order the modes enter.  It holds
+    no pump.  A loss scales every entry by sqrt(eta) (:func:`attenuate_response`);
+    a coupler enters every shifted partner (:func:`couple_response`), so the
+    map holds the modes of :func:`propagate_chain`'s state and rejects the
+    same overlaps.
+    """
+    nu = cfg.source_detuning_mhz
+    source = {ModeLabel.from_mhz(-nu): np.array([1.0, 0.0], dtype=complex),
+              ModeLabel.from_mhz(nu): np.array([0.0, 1.0], dtype=complex)}
+    return _walk(cfg, source, attenuate_response, couple_response)
+
+
+# Excess covariance V - I = (I + K)/2 of the response's source pair (vs = 2,
+# va = 1); the detuning only labels its modes.
+_RESPONSE_EXCESS = sideband_pair_state(2.0, 1.0, 1.0).cov - np.eye(4)
+
+
+def _detected(response: TransferMap, lo: ModeLabel, analysis_mhz: float) -> DetectedPair:
+    """The pair at lo -+ analysis_mhz of the chain response, detected at unit
+    efficiency.  The rows of its 2x2 transfer T are the map's entries there
+    (an absent mode counts as 0), and its covariance is
+    R(T) (V - I) R(T)^T + I, with R the quadrature form (:func:`real_form`)."""
+    r = real_form(np.array([response.get(lo.shifted_mhz(nu), (0j, 0j))
+                            for nu in (-analysis_mhz, analysis_mhz)]))
+    return DetectedPair.of_covariance(r @ _RESPONSE_EXCESS @ r.T + np.eye(4))
 
 
 def _response_pairs(cfg: ScenarioConfig) -> list[DetectedPair]:
     """The chain response's sideband pair of each analysis band, detected at
-    unit efficiency."""
+    unit efficiency from one transfer map (:func:`_detected`)."""
     response, lo = chain_response(cfg), ModeLabel.from_mhz(cfg.hd.lo_offset_mhz)
-    return [detect_pair(response, lo, analysis) for analysis in cfg.hd.analysis_mhz]
+    return [_detected(response, lo, analysis) for analysis in cfg.hd.analysis_mhz]
 
 
 def _source_excess(cfg: ScenarioConfig, opo, detuning_mhz):
@@ -603,7 +625,7 @@ def analytic_noise(cfg: ScenarioConfig, pump_mw: float, theta: float, analysis_m
     source excess, equal to ``hd_noise_power`` of :func:`propagate_chain` up
     to rounding."""
     hd = cfg.hd
-    pair = detect_pair(chain_response(cfg), ModeLabel.from_mhz(hd.lo_offset_mhz), analysis_mhz)
+    pair = _detected(chain_response(cfg), ModeLabel.from_mhz(hd.lo_offset_mhz), analysis_mhz)
     excess = _source_excess(cfg, _opo_params(cfg, pump_mw), cfg.source_detuning_mhz)
     return _readout(excess, pair.gains(theta + hd.delta_theta_rad), hd.efficiency)
 

@@ -350,28 +350,6 @@ def periodogram(trace: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.abs(spectrum) ** 2 / trace.size
 
 
-def estimate_spectrum(
-    traces: Sequence[NDArray[np.float64]], acq: AcquisitionParams
-) -> SpectrumEstimate:
-    """Mean periodogram over rounds with round-to-round standard error."""
-    traces = list(traces)
-    if not traces:
-        raise ValueError("at least one trace required")
-    lengths = {len(t) for t in traces}
-    if lengths != {acq.samples_per_round}:
-        raise ValueError(
-            f"trace lengths {sorted(lengths)} inconsistent with "
-            f"samples_per_round={acq.samples_per_round}"
-        )
-    grams = np.stack([periodogram(t) for t in traces])
-    mean = grams.mean(axis=0)
-    if len(traces) > 1:
-        stderr = grams.std(axis=0, ddof=1) / np.sqrt(len(traces))
-    else:
-        stderr = np.zeros_like(mean)
-    return SpectrumEstimate(acq.grid_mhz, mean, stderr)
-
-
 def _estimate(freqs: NDArray[np.float64], rounds: int, total, total_sq) -> SpectrumEstimate:
     """Mean and standard error from per-bin sums of periodograms over rounds."""
     mean = total / rounds
@@ -481,16 +459,10 @@ def simulate_spectrum(
 ) -> SpectrumEstimate:
     """Synthesize acq.rounds records and average their periodograms.
 
-    Reproduces ``estimate_spectrum`` over ``synthesize_round`` records of the
+    Reproduces the mean periodogram of ``synthesize_round`` records of the
     same (seed, stream) without forming them; see :func:`simulate_spectra`.
     """
     return simulate_spectra([model], acq, stream, bins)[0]
-
-
-def mean_power(spec: SpectrumEstimate) -> float:
-    """Time-domain mean-square power implied by the one-sided spectrum."""
-    n = 2 * (spec.psd.size - 1)
-    return float((spec.psd[0] + 2.0 * spec.psd[1:-1].sum() + spec.psd[-1]) / n)
 
 
 def _band_edges(center_mhz: float, width_mhz: float) -> tuple[float, float]:

@@ -15,16 +15,13 @@ try:
 except ImportError:
     pass
 
+from oracles import phase_rotation, squeezer, two_mode_squeezer, vacuum_state
 from sqztune.gaussian_core import (
     GaussianState,
     ModeLabel,
     apply_loss,
     apply_symplectic,
-    phase_rotation,
-    squeezer,
     symplectic_from_unitary,
-    two_mode_squeezer,
-    vacuum_state,
 )
 from sqztune import scenarios
 from sqztune.optics_components import apply_abi

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import random_chain_state
+from oracles import phase_rotation
 from sqztune.gaussian_core import (
     ModeLabel,
     apply_loss,
-    phase_rotation,
     symplectic_eigenvalues,
     symplectic_form,
     symplectic_from_unitary,

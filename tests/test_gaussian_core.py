@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_chain_state
+from oracles import (
+    mode_block,
+    phase_rotation,
+    quadrature_variance,
+    squeezer,
+    two_mode_squeezer,
+    vacuum_state,
+)
 from sqztune.gaussian_core import (
     GaussianState,
     ModeLabel,
@@ -11,14 +19,9 @@ from sqztune.gaussian_core import (
     apply_symplectic,
     is_physical,
     partial_trace,
-    phase_rotation,
-    quadrature_variance,
-    squeezer,
     symplectic_eigenvalues,
     symplectic_form,
     symplectic_from_unitary,
-    two_mode_squeezer,
-    vacuum_state,
 )
 
 CARRIER = ModeLabel(0)
@@ -107,7 +110,7 @@ class TestApplySymplectic:
     def test_untouched_modes_unchanged(self):
         state = apply_symplectic(vacuum_state([LOWER, UPPER]), squeezer(0.9, LOWER))
         out = apply_symplectic(state, phase_rotation(0.4, UPPER))
-        assert np.allclose(out.mode_block(LOWER), state.mode_block(LOWER), atol=1e-15)
+        assert np.allclose(mode_block(out, LOWER), mode_block(state, LOWER), atol=1e-15)
 
     def test_composition_equals_composed_matrix(self):
         rng = np.random.default_rng(7)
@@ -225,7 +228,7 @@ class TestPartialTrace:
         extended = add_vacuum_modes(state, [UPPER])
         assert extended.modes == (CARRIER, UPPER)
         assert np.allclose(partial_trace(extended, [CARRIER]).cov, state.cov, atol=1e-15)
-        assert np.allclose(extended.mode_block(UPPER), np.eye(2), atol=1e-15)
+        assert np.allclose(mode_block(extended, UPPER), np.eye(2), atol=1e-15)
 
 
 class TestPhysicality:

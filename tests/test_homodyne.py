@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_chain_state
+from oracles import phase_rotation, squeezer, two_mode_squeezer, vacuum_state
 from sqztune.gaussian_core import (
     ModeLabel,
     apply_symplectic,
-    phase_rotation,
-    squeezer,
-    two_mode_squeezer,
-    vacuum_state,
 )
 from sqztune.homodyne import (
     ANTISQUEEZED,

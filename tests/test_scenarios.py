@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import apply_chain_change, chain_change, mc_target_psd
+from oracles import chain_efficiency_total, covariance_response_pairs
 from sqztune import scenarios, timeseries
 from sqztune.gaussian_core import ModeLabel
 from sqztune.homodyne import db, hd_noise_power
@@ -133,7 +134,7 @@ class TestBuiltins:
 
     def test_tuned_chain_efficiency_product(self):
         cfg = get_scenario("fig5b")
-        assert cfg.chain_efficiency_total == pytest.approx(0.713 * 0.91 * 0.841 * 0.888, rel=1e-12)
+        assert chain_efficiency_total(cfg) == pytest.approx(0.713 * 0.91 * 0.841 * 0.888, rel=1e-12)
 
     @pytest.mark.parametrize(
         "name,product",
@@ -142,7 +143,7 @@ class TestBuiltins:
     )
     def test_readout_chain_efficiency_products(self, name, product):
         # the chains behind the 70.8% and 43.9% budgets of acceptance criterion 6
-        assert get_scenario(name).chain_efficiency_total == pytest.approx(product, rel=1e-12)
+        assert chain_efficiency_total(get_scenario(name)) == pytest.approx(product, rel=1e-12)
 
 
 class TestValidation:
@@ -269,19 +270,19 @@ class TestValidation:
 def propagations(monkeypatch):
     """The config name of every pass through the chain made in the module."""
     calls = []
-    propagate = scenarios._propagate
+    response = scenarios.chain_response
 
-    def counting(cfg, state):
+    def counting(cfg):
         calls.append(cfg.name)
-        return propagate(cfg, state)
+        return response(cfg)
 
-    monkeypatch.setattr(scenarios, "_propagate", counting)
+    monkeypatch.setattr(scenarios, "chain_response", counting)
     return calls
 
 
 class TestAnalyticReadout:
-    """run_scenario propagates one chain response and reduces it once per
-    band; its analytic values are analytic_noise's, point for point."""
+    """run_scenario builds one chain response and reduces it once per band;
+    its analytic values are analytic_noise's, point for point."""
 
     def assert_rows_equal_per_point(self, cfg, propagations):
         rows = run_scenario(cfg, mode="analytic").rows
@@ -391,6 +392,73 @@ class TestChainResponse:
             accepted += 1
             folded += any(isinstance(e, AomSpec) and e.shift_mhz == -163.1 for e in cfg.chain)
         assert folded >= 20
+
+
+def response_pairs_or_error(pairs_of, cfg):
+    """The pairs ``pairs_of(cfg)`` gives, or the text of its ConfigError."""
+    try:
+        return pairs_of(cfg)
+    except ConfigError as exc:
+        return str(exc)
+
+
+class TestTransferMap:
+    """The transfer map's detected pairs equal the covariance walk's: the
+    same gains within 1e-15 at every phase, and the same rejections."""
+
+    PHASES = np.linspace(0.0, math.pi, 41)
+
+    def assert_map_matches_covariance(self, cfg):
+        got = response_pairs_or_error(scenarios._response_pairs, cfg)
+        expected = response_pairs_or_error(covariance_response_pairs, cfg)
+        if isinstance(expected, str):
+            assert got == expected
+            return False
+        assert len(got) == len(expected) == len(cfg.hd.analysis_mhz)
+        for pair, oracle in zip(got, expected):
+            for theta in self.PHASES:
+                gap = np.subtract(pair.gains(theta), oracle.gains(theta))
+                assert np.abs(gap).max() <= 1e-15, (cfg.chain, theta, gap)
+        return True
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtins(self, name):
+        assert self.assert_map_matches_covariance(get_scenario(name))
+
+    def test_random_chains(self):
+        rng = np.random.default_rng(2026)
+        accepted = rejected = 0
+        while accepted < 200:
+            if self.assert_map_matches_covariance(random_chain_config(rng)):
+                accepted += 1
+            else:
+                rejected += 1
+        assert rejected >= 20
+
+    @pytest.mark.parametrize(
+        "elements",
+        [(AomSpec(0.8, 0.6, 3.1),), (AbiSpec(shift_mhz=3.1),),
+         (AomSpec(0.8, 0.6, 10.0), AomSpec(0.8, 0.6, 10.0))],
+        ids=["aom-3.1", "abi-3.1", "two-aoms-10"],
+    )
+    def test_overlap_message(self, elements):
+        cfg = simple_config(chain=(SourceSpec(),) + elements + (HdSpec(0.0, (0.0,), (1.55,)),))
+        message = response_pairs_or_error(covariance_response_pairs, cfg)
+        assert "overlap" in message
+        assert not self.assert_map_matches_covariance(cfg)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(BUILTIN_SCENARIOS)),
+           changes=st.lists(chain_change, min_size=1, max_size=2))
+    def test_changed_chains(self, name, changes):
+        data = scenario_to_dict(get_scenario(name))
+        for change in changes:
+            apply_chain_change(data["chain"], change)
+        try:
+            cfg = scenario_from_dict(data)
+        except ConfigError:
+            assume(False)
+        self.assert_map_matches_covariance(cfg)
 
 
 class TestMonteCarloTarget:
@@ -600,12 +668,15 @@ class TestRunScenario:
         class Drawn(Exception):
             pass
 
+        drawn = []
+
         def drawing(*args):
+            drawn.append(args)
             raise Drawn
 
         # (2 noise + 2 per MC point and phase) spectra x bins read; nothing is
-        # drawn here.
-        monkeypatch.setattr(scenarios, "simulate_spectrum", drawing)
+        # drawn here: the first round read of a case that fits stops it.
+        monkeypatch.setattr(timeseries, "_read_rounds", drawing)
         acq = replace(get_scenario("fig4a").acquisition, samples_per_round=2**22, rounds=256)
         cfg = replace(get_scenario("fig4a"), acquisition=acq, pump_sweep_mw=(90.0, 270.0, 450.0))
         assert 2**24 == scenarios.MAX_SPECTRUM_VALUES
@@ -625,10 +696,13 @@ class TestRunScenario:
         for call in over:
             with pytest.raises(ConfigError, match="MAX_SPECTRUM_VALUES"):
                 call()
+        assert drawn == []
         for call in fits:
             with pytest.raises(Drawn):
                 call()
+        assert len(drawn) == len(fits)
         assert len(run_scenario(cfg, mode="analytic").rows) == 6
+        assert len(drawn) == len(fits)
 
 
 class TestSweep:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import mc_target_psd, per_cell_rows
+from oracles import estimate_spectrum, mean_power
 from sqztune.homodyne import undb
 from sqztune import timeseries
 from sqztune.scenarios import HdSpec, ScenarioConfig, SourceSpec
@@ -21,8 +22,6 @@ from sqztune.timeseries import (
     band_power_stderr,
     band_slice,
     calibrate,
-    estimate_spectrum,
-    mean_power,
     periodogram,
     simulate_spectra,
     simulate_spectrum,
