@@ -23,18 +23,17 @@ the grid of m = n/2 + 1 bins:
 - words m+2 .. 2m+1: the phase of interior bin k at word m+2+k (the words
   of k = 0 and k = m-1 are unused).
 
-A tone-free spectrum needs only w, so it reads the first m+2 words; the
-interior phases are read only when a model with interference tones shares
-the round.  Bin k's words sit at fixed counter offsets of the stream.
-
-A range of bins k0 .. k1-1 is read by those offsets.  Philox makes its words
-four per counter block, so a run of words from word j on is read by setting
-the counter to (j // 4, r, s, 0) with an empty buffer and dropping j % 4
-words.  A round reads the range's power words k0 .. k1-1, the DC or Nyquist
-phase word (m or m+1) when the range holds bin 0 or bin m-1, and, for a
-toned round, the phase words m+2+k0 .. m+2+k1-1.  Every bin gets the same
-words as in a whole-grid read, so its values are the same bit for bit; the
-whole grid is the range 0 .. m-1, whose words are the stream's first ones.
+A tone-free spectrum needs only w, so it reads the first m+2 words; an
+interior phase is read only at a bin that an interference tone reaches.
+Bin k's words sit at fixed counter offsets of the stream, and a range of
+bins k0 .. k1-1 is read by those offsets.  Philox makes its words four per
+counter block, so a run of words from word j on is read by setting the
+counter to (j // 4, r, s, 0) with an empty buffer and dropping j % 4 words.
+A round reads the range's power words k0 .. k1-1, the DC or Nyquist phase
+word (m or m+1) when the range holds bin 0 or bin m-1, and the phase word
+m+2+k of each bin k a tone reaches, one run per cluster of such bins.  Every
+bin gets the same words as in a whole-grid read, so its values are the same
+bit for bit; the whole grid is the range 0 .. m-1.
 
 Round r of stream s under seed S is the window of ``Philox(key=S)`` that
 starts at counter (0, r, s, 0): the seed is the 128-bit key, so seeds lie in
@@ -53,6 +52,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import shutil
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -206,16 +206,14 @@ def _read_rounds(
         yield r
 
 
-def _word_runs(
-    k0: int, k1: int, m: int, toned: bool
-) -> tuple[list[tuple[int, int, int]], list[int], list[int]]:
-    """The (stream word, buffer start, buffer stop) runs a round of bins
-    k0 .. k1-1 reads, the positions of the real DC and Nyquist bins among
-    them, and the buffer slots of those bins' phase words.
+def _word_runs(k0: int, k1: int, m: int) -> tuple[list[tuple[int, int, int]], list[int], list[int]]:
+    """The (stream word, buffer start, buffer stop) runs a tone-free round of
+    bins k0 .. k1-1 reads, the positions of the real DC and Nyquist bins
+    among them, and the buffer slots of those bins' phase words.
 
     The buffer holds the nb = k1 - k0 power words, then the DC and the
-    Nyquist phase slots, then (toned rounds) the nb interior phase words, so
-    on the whole grid it holds the stream's first m+2 or 2m+2 words in order.
+    Nyquist phase slots, so on the whole grid it holds the stream's first
+    m+2 words in order.
     """
     nb = k1 - k0
     runs = [(k0, 0, nb)]
@@ -228,8 +226,6 @@ def _word_runs(
         runs.append((m + 1, nb + 1, nb + 2))
         edges.append(nb - 1)
         edge_words.append(nb + 1)
-    if toned:
-        runs.append((m + 2 + k0, nb + 2, 2 * nb + 2))
     return runs, edges, edge_words
 
 
@@ -247,21 +243,14 @@ def _bin_powers(words: NDArray[np.float64], m: int) -> NDArray[np.float64]:
 
 
 def _bins(
-    words: NDArray[np.float64], re: NDArray[np.float64], im: NDArray[np.float64],
-    edges: list[int], edge_words: list[int],
+    w: NDArray[np.float64], phase: NDArray[np.float64], re: NDArray[np.float64],
+    im: NDArray[np.float64], edges: list[int],
 ) -> None:
-    """re + i*im = sqrt(2w) e^{i phi} of every bin, from the 2nb+2 words of
-    a toned round (see :func:`_word_runs`) after :func:`_bin_powers`.
-
-    ``edges`` are the positions of the real DC and Nyquist bins among the
-    nb bins, and ``edge_words`` the buffer slots of their phase words.  One
-    trig call per bin: sin(phi) is taken from cos(phi), positive on the
-    first half-turn.  The real bins have im = 0.  The words serve as
-    scratch: afterwards words[:nb] and words[nb+2:] hold no draws.
+    """re + i*im = sqrt(2w) e^{i phi} of bins with Exp(1) powers ``w`` and
+    phase words ``phase``, which then serve as scratch; the real DC and
+    Nyquist bins at ``edges`` get im = 0.  One trig call per bin: sin(phi) is
+    taken from cos(phi), positive on the first half-turn.
     """
-    nb = re.size
-    w, phase = words[:nb], words[nb + 2:]
-    phase[edges] = words[edge_words]
     np.multiply(phase, _TWO_PI, out=re)
     np.cos(re, out=re)
     np.multiply(re, re, out=im)
@@ -295,8 +284,8 @@ def synthesize_round(
     rng = np.random.Generator(np.random.Philox(key=int(acq.rng_seed), counter=counter))
     words = rng.random(2 * m + 2)
     re, im = np.empty(m), np.empty(m)
-    _bin_powers(words, m)
-    _bins(words, re, im, [0, m - 1], [m, m + 1])
+    words[[m + 2, 2 * m + 1]] = words[[m, m + 1]]  # the DC and Nyquist phases
+    _bins(_bin_powers(words, m), words[m + 2:], re, im, [0, m - 1])
     spectrum = np.sqrt(target * n / 2.0) * (re + 1j * im)
     # DC and Nyquist bins of a real signal are real-valued.
     spectrum[0] = np.sqrt(target[0] * n) * re[0]
@@ -304,18 +293,50 @@ def synthesize_round(
     return _add_tones(np.fft.irfft(spectrum, n=n), model, acq)
 
 
-def _add_tones(
-    trace: NDArray[np.float64], model: NoiseModel, acq: AcquisitionParams
-) -> NDArray[np.float64]:
-    """``trace`` plus the model's deterministic interference tones."""
-    n = acq.samples_per_round
-    t = np.arange(n) / acq.sample_rate_msps
+def _tones(model: NoiseModel, acq: AcquisitionParams) -> Iterator[tuple[float, float]]:
+    """The model's tones as (frequency MHz, cosine amplitude 2 sqrt(power / n))."""
     nyquist = acq.sample_rate_msps / 2.0
     for freq, power in model.interference_tones:
         if freq >= nyquist:
             raise ValueError(f"tone at {freq} MHz exceeds Nyquist {nyquist} MHz")
-        trace = trace + 2.0 * np.sqrt(power / n) * np.cos(2.0 * np.pi * freq * t)
-    return trace
+        yield freq, 2.0 * np.sqrt(power / acq.samples_per_round)
+
+
+def _add_tones(
+    trace: NDArray[np.float64], model: NoiseModel, acq: AcquisitionParams
+) -> NDArray[np.float64]:
+    """``trace`` plus the model's deterministic interference tones."""
+    t = np.arange(acq.samples_per_round) / acq.sample_rate_msps
+    tones = _tones(model, acq)
+    return trace + sum(amplitude * np.cos(2.0 * np.pi * freq * t) for freq, amplitude in tones)
+
+
+def _tone_spectrum(
+    model: NoiseModel, acq: AcquisitionParams, k0: int, k1: int
+) -> NDArray[np.complex128]:
+    """T, the DFT of the model's tones at bins k0 .. k1-1, in closed form.
+
+    A tone c cos(2 pi j t / n), j = f n / rate, has T_k = (c/2) (D(j-k) + D(-j-k)),
+    with D(x) = sum_{t<n} e^{2 pi i x t / n}: n at multiples of n, so an
+    on-grid tone is c n / 2 in its bin and exactly 0 elsewhere.  An off-grid
+    tone reaches every bin: with x taken into [-n/2, n/2] (D has period n)
+    and split as whole + frac, D(x) = e^{i pi (frac - x/n)} sin(pi frac) /
+    sin(pi x / n), as the signs (-1)^whole of e^{i pi x} and sin(pi x) cancel.
+    """
+    n = acq.samples_per_round
+    tone = np.zeros(k1 - k0, dtype=complex)
+    for freq, amplitude in _tones(model, acq):
+        j = freq * n / acq.sample_rate_msps
+        if float(j).is_integer():  # bins j and -j mod n, both bin 0 for a DC tone
+            np.add.at(tone, [k - k0 for k in (int(j) % n, -int(j) % n) if k0 <= k < k1],
+                      amplitude * n / 2.0)
+            continue
+        for x in (j - np.arange(k0, k1), -j - np.arange(k0, k1)):
+            x -= n * np.round(x / n)
+            frac = x - np.round(x)
+            tone += amplitude / 2.0 * np.exp(1j * np.pi * (frac - x / n)) * (
+                np.sin(np.pi * frac) / np.sin(np.pi * x / n))
+    return tone
 
 
 @dataclass(frozen=True)
@@ -369,16 +390,15 @@ def simulate_spectra(
 
     Round r of each model is the record ``synthesize_round(model, acq, r,
     stream)``, but its periodogram is built from the drawn bins directly.
-    Without tones it is target * w, with w the Exp(1) bin powers (2 w
-    cos^2(phi) at DC and Nyquist; see the module docstring), so a round of
-    tone-free models reads one word per bin, reduces them once and the sums
-    are scaled by each target PSD at the end.  A model with tones needs the
-    bins z = sqrt(2w) e^{i phi} themselves: its periodogram is
-    |a*z + T|^2 / n with bin amplitudes a = sqrt(target * n / 2) and the tone
-    spectrum T = rfft(tones), and the round also reads each bin's phase word.
-    Either way the result equals ``periodogram`` of the record up to the
-    rounding of the irfft/rfft round trip, and a tone-free model's spectrum
-    is the same bit for bit whether or not a model with tones shares the call.
+    At a bin none of its tones reach it is target * w, with w the Exp(1) bin
+    powers (2 w cos^2(phi) at DC and Nyquist; see the module docstring), so
+    a round reduces one word per bin once for all models and the sums are
+    scaled by each target PSD at the end.  Where the model's tone spectrum T
+    (:func:`_tone_spectrum`) is not 0, it is |a*z + T|^2 / n with
+    z = sqrt(2w) e^{i phi} and a = sqrt(target * n / 2), and the round also
+    reads the bin's phase word.  Either way the result equals ``periodogram``
+    of the record up to the rounding of the irfft/rfft round trip, and a
+    bin's value depends on neither the other models nor the range read.
 
     ``bins`` selects a range of the m = n/2 + 1 grid bins (default: all).
     Each round reads only that range's words, setting the Philox counter at
@@ -398,42 +418,50 @@ def simulate_spectra(
     nb = k1 - k0
     freqs = acq.grid_range_mhz(k0, k1)
     targets = [model.target_psd(freqs) for model in models]
-    runs, edges, edge_words = _word_runs(
-        k0, k1, m, any(model.interference_tones for model in models)
-    )
-    w_sum, w_sumsq = np.zeros(nb), np.zeros(nb)
-    # Models with tones: index -> (bin amplitude, T.real, T.imag, periodogram
-    # sum, sum of squares).  DC and Nyquist bins are real-valued: their
-    # amplitude is sqrt(target * n), and _bins sets their im to 0.
+    runs, edges, edge_words = _word_runs(k0, k1, m)
+    # T of each model whose tones reach the range; the hot bins are those they reach.
+    tones = {i: tone for i, model in enumerate(models)
+             if model.interference_tones and np.any(tone := _tone_spectrum(model, acq, k0, k1))}
+    hot = np.flatnonzero(sum(tone != 0 for tone in tones.values())) if tones else np.arange(0)
+    words = np.empty(nb + 2 + hot.size)
+    w_sum, w_sumsq, scratch = np.zeros(nb), np.zeros(nb), np.empty(nb)
+    # All bins that a model's tones do not reach have the periodogram target * w.
+    plain = len(tones) < len(models) or not all(map(np.all, tones.values()))
+    # Toned models: index -> (bin amplitude, T.real, T.imag, periodogram sum,
+    # sum of squares) at the hot bins.  DC and Nyquist bins are real-valued:
+    # their amplitude is sqrt(target * n), and _bins sets their im to 0.
     toned = {}
-    for i, (model, target) in enumerate(zip(models, targets)):
-        if model.interference_tones:
-            tone = np.fft.rfft(_add_tones(np.zeros(n), model, acq))[k0:k1]
-            amp = np.sqrt(target * n / 2.0)
-            amp[edges] = np.sqrt(target[edges] * n)
-            toned[i] = (amp, tone.real.copy(), tone.imag.copy(), np.zeros(nb), np.zeros(nb))
-    tone_free = len(toned) < len(models)
-    words = np.empty(2 * nb + 2 if toned else nb + 2)
-    # re is also the tone-free models' scratch, before _bins fills it; after
-    # _bins, the two halves of words are the toned models' scratch.
-    re = np.empty(nb)
-    im = np.empty(nb) if toned else None
-    gram, part = words[:nb], words[nb + 2:]
+    for i, tone in tones.items():
+        amp = np.sqrt(targets[i] * n / 2.0)
+        amp[edges] = np.sqrt(targets[i][edges] * n)
+        toned[i] = (amp[hot], tone.real[hot], tone.imag[hot], *np.zeros((2, hot.size)))
+    if toned:
+        # The hot bins' phase words fill words[nb+2:], one run per cluster.
+        cuts = (np.flatnonzero(np.diff(hot) != 1) + 1).tolist()
+        runs += [(m + 2 + k0 + int(hot[a]), nb + 2 + a, nb + 2 + b)
+                 for a, b in zip([0, *cuts], [*cuts, hot.size])]
+        re, im, phase = np.empty(hot.size), np.empty(hot.size), words[nb + 2:]
+        # Each hot real bin's place among the hot bins, and its phase word's slot.
+        hot_edges = [int(np.searchsorted(hot, e)) for e in edges if e in hot]
+        hot_edge_words = [slot for e, slot in zip(edges, edge_words) if e in hot]
 
     for _ in _read_rounds(acq.rng_seed, stream, range(acq.rounds), runs, words):
         w = _bin_powers(words, nb)
-        if tone_free:
-            np.copyto(re, w)
+        if plain:
+            np.copyto(scratch, w)
             if edges:
                 # The real DC and Nyquist bins have power re^2 = 2 w cos^2(phi).
                 cos = np.cos(_TWO_PI * words[edge_words])
-                re[edges] *= 2.0 * cos * cos
-            w_sum += re
-            re *= re
-            w_sumsq += re
+                scratch[edges] *= 2.0 * cos * cos
+            w_sum += scratch
+            scratch *= scratch
+            w_sumsq += scratch
         if not toned:
             continue
-        _bins(words, re, im, edges, edge_words)
+        # The hot bins' powers and phases, after _bins the toned models' scratch.
+        gram, part = (w if hot.size == nb else w[hot]), phase
+        phase[hot_edges] = words[hot_edge_words]
+        _bins(gram, part, re, im, hot_edges)
         for amp, t_re, t_im, total, total_sq in toned.values():
             np.multiply(amp, re, out=gram)
             gram += t_re
@@ -447,11 +475,11 @@ def simulate_spectra(
             gram *= gram
             total_sq += gram
 
-    return [
-        _estimate(freqs, acq.rounds, *toned[i][3:]) if i in toned
-        else _estimate(freqs, acq.rounds, target * w_sum, target * target * w_sumsq)
-        for i, target in enumerate(targets)
-    ]
+    sums = [(target * w_sum, target * target * w_sumsq) for target in targets]
+    for i, (*_, total, total_sq) in toned.items():
+        mine = tones[i][hot] != 0  # a model's own tone bins, among the hot ones
+        sums[i][0][hot[mine]], sums[i][1][hot[mine]] = total[mine], total_sq[mine]
+    return [_estimate(freqs, acq.rounds, *pair) for pair in sums]
 
 
 def simulate_spectrum(
@@ -601,18 +629,30 @@ def _csv_blocks(spec: SpectrumEstimate) -> Iterator[bytes]:
 def write_spectra_csv(items: Sequence[tuple[SpectrumEstimate, str | os.PathLike]]) -> None:
     """Write each (spectrum, path) pair's CSV, header ``freq_mhz,psd_linear,stderr``.
 
-    The spectra must share one frequency grid; otherwise ValueError is raised
-    before any file is opened.  The files are written one at a time, each
-    equal to :func:`spectrum_to_csv` of its spectrum, with ``\\n`` line ends
-    on every platform.
+    The spectra must share one frequency grid and the paths must name
+    distinct files; otherwise ValueError is raised before any file is
+    opened.  The files are written one at a time, each equal to
+    :func:`spectrum_to_csv` of its spectrum, with ``\\n`` line ends on
+    every platform.  A spectrum whose columns hold the same bytes as one
+    already written (so -0.0 is not 0.0) is copied from that file.
     """
     items = list(items)
     if items:
         _require_common_grid(*(spec for spec, _ in items))
+    if len({os.path.realpath(path) for _, path in items}) < len(items):
+        raise ValueError("each spectrum needs a file of its own")
+    written = []  # (column bits, path) of each file formatted so far
     for spec, path in items:
+        columns = [column.view(np.int64) for column in (spec.psd, spec.stderr, spec.freqs_mhz)]
+        twin = next((done for other, done in written
+                     if all(map(np.array_equal, other, columns))), None)
+        if twin is not None:
+            shutil.copyfile(twin, path)
+            continue
         with open(path, "wb") as fh:
             fh.write(f"{CSV_HEADER}\n".encode())
             fh.writelines(_csv_blocks(spec))
+        written.append((columns, path))
 
 
 def spectrum_to_csv(spec: SpectrumEstimate) -> str:

@@ -98,20 +98,35 @@ def mostly(valid, *wrong):
     return st.one_of(valid, valid, valid, st.sampled_from(wrong))
 
 
+def chain_element(shift, unit, phase):
+    """A loss, AOM or tuner element whose fields are drawn from these strategies."""
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("loss"), "label": st.just("fuzz"),
+                               "efficiency": unit}),
+        st.tuples(st.sampled_from([(0.8, 0.6), (0.6, 0.8), (1.0, 0.0), (0.8, 0.8)]), shift).map(
+            lambda tr_s: {"kind": "aom", "t": tr_s[0][0], "r": tr_s[0][1], "shift_mhz": tr_s[1]}),
+        st.fixed_dictionaries({"kind": st.just("abi"), "shift_mhz": shift, "zeta": unit,
+                               "visibility": unit, "phi_rad": phase}),
+    )
+
+
 # Shifts: multiples of the builtins' 1.55 MHz source detuning (which make mode
 # pairs overlap), the tuner's 80 MHz and a few others.
-shift = mostly(st.sampled_from([-3.1, -1.55, 1.55, 3.1, 4.65, 80.0, -80.0, 10.0, 0.01]),
-               True, None, "1", float("nan"), 1e308, -1e308)
-unit = mostly(st.floats(0, 1), -0.1, 1.5, True, float("nan"))
-element = st.one_of(
-    st.fixed_dictionaries({"kind": st.just("loss"), "label": st.just("fuzz"), "efficiency": unit}),
-    st.tuples(st.sampled_from([(0.8, 0.6), (0.6, 0.8), (1.0, 0.0), (0.8, 0.8)]), shift).map(
-        lambda tr_s: {"kind": "aom", "t": tr_s[0][0], "r": tr_s[0][1], "shift_mhz": tr_s[1]}),
-    st.fixed_dictionaries({"kind": st.just("abi"), "shift_mhz": shift, "zeta": unit,
-                           "visibility": unit, "phi_rad": mostly(st.floats(-4, 4), float("inf"))}),
+SHIFTS = st.sampled_from([-3.1, -1.55, 1.55, 3.1, 4.65, 80.0, -80.0, 10.0, 0.01])
+UNITS = st.floats(0, 1)
+PHASES = st.floats(-4, 4)
+# (insert or replace, position among the mid-chain elements, element).  The
+# fuzz tests' change draws a wrong value in a quarter of each field's
+# branches; the valid change draws every field from its valid values, so only
+# overlapping mode pairs make the loader reject it.
+chain_change = st.tuples(st.booleans(), st.integers(0, 3), chain_element(
+    mostly(SHIFTS, True, None, "1", float("nan"), 1e308, -1e308),
+    mostly(UNITS, -0.1, 1.5, True, float("nan")),
+    mostly(PHASES, float("inf")),
+))
+valid_chain_change = st.tuples(
+    st.booleans(), st.integers(0, 3), chain_element(SHIFTS, UNITS, PHASES)
 )
-# (insert or replace, position among the mid-chain elements, element)
-chain_change = st.tuples(st.booleans(), st.integers(0, 3), element)
 
 
 def apply_chain_change(chain, change):

@@ -512,14 +512,19 @@ class TestRun:
         spectrum = spectrum_from_csv(spectrum_path.read_text())
         assert spectrum.freqs_mhz.size == 4096 // 2 + 1
 
-    def test_out_writes_each_spectrum_once_bit_exact(self, tmp_path, capsys):
+    def test_out_writes_each_spectrum_once_bit_exact(self, tmp_path, capsys, monkeypatch):
         # fig5a's beat does not depend on the LO phase, so its theta0 and
-        # theta90 spectra are equal bit for bit; each is written to its own file.
+        # theta90 spectra are equal bit for bit; each is written to its own
+        # file, and the theta90 files are copies, not formatted again.
         data = scenario_to_dict(get_scenario("fig5a"))
         data["acquisition"].update(samples_per_round=4096, rounds=16, band_width_mhz=0.4)
         config = tmp_path / "fig5a.json"
         config.write_text(json.dumps(data))
         out_dir = tmp_path / "out"
+        formatted = []
+        csv_blocks = timeseries._csv_blocks
+        monkeypatch.setattr(timeseries, "_csv_blocks",
+                            lambda spec: formatted.append(spec) or csv_blocks(spec))
         assert main(["run", str(config), "--mode", "both", "--seed", "3", "--out", str(out_dir)]) in (0, 1)
         result = run_scenario(load_config(config), mode="both", seed=3)
         raw = [result.spectra[f"pump450mW_{tag}_raw"] for tag in ("theta0", "theta90")]
@@ -527,11 +532,17 @@ class TestRun:
         written = {p.name for p in out_dir.iterdir()} - {"fig5a_summary.csv"}
         assert written == {f"fig5a_{key}.csv" for key in result.spectra}
         assert len(written) == 6
+        assert len(formatted) == 4
         for key, spectrum in result.spectra.items():
             parsed = spectrum_from_csv((out_dir / f"fig5a_{key}.csv").read_text())
             assert np.array_equal(parsed.freqs_mhz, spectrum.freqs_mhz)
             assert np.array_equal(parsed.psd, spectrum.psd)
             assert np.array_equal(parsed.stderr, spectrum.stderr)
+        for kind in ("raw", "corrected"):
+            files = [(out_dir / f"fig5a_pump450mW_{tag}_{kind}.csv").read_bytes()
+                     for tag in ("theta0", "theta90")]
+            text = timeseries.spectrum_to_csv(result.spectra[f"pump450mW_theta0_{kind}"])
+            assert files[0] == files[1] == text.encode()
 
     @pytest.mark.parametrize("builtin", ["fig4a", "fig5a"])
     def test_out_spectra_are_repr_text_on_the_full_grid(self, tmp_path, capsys, builtin):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import apply_chain_change, chain_change, mc_target_psd
+from conftest import apply_chain_change, mc_target_psd, valid_chain_change
 from oracles import chain_efficiency_total, covariance_response_pairs
 from sqztune import scenarios, timeseries
 from sqztune.gaussian_core import ModeLabel
@@ -449,7 +449,7 @@ class TestTransferMap:
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(name=st.sampled_from(sorted(BUILTIN_SCENARIOS)),
-           changes=st.lists(chain_change, min_size=1, max_size=2))
+           changes=st.lists(valid_chain_change, min_size=1, max_size=2))
     def test_changed_chains(self, name, changes):
         data = scenario_to_dict(get_scenario(name))
         for change in changes:
@@ -1098,7 +1098,7 @@ def sweep_cases(draw):
     for element in data["chain"]:
         if element["kind"] == "abi":
             element.update(phi_rad=draw(st.floats(-4.0, 4.0)), visibility=draw(st.floats(0.0, 1.0)))
-    for change in draw(st.lists(chain_change, min_size=1, max_size=2)):
+    for change in draw(st.lists(valid_chain_change, min_size=1, max_size=2)):
         apply_chain_change(data["chain"], change)
     try:
         cfg = scenario_from_dict(data)

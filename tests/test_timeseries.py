@@ -51,6 +51,10 @@ BEAT = AcquisitionParams(
     rng_seed=17,
 )
 TONE = ((80.0, 30.0),)
+# Two on-grid tones far apart (bins 3200 and 800), and one 5/16 of a bin off
+# the grid (bin 2000.3125, exact in binary).
+TWO_TONES = ((80.0, 30.0), (20.0, 20.0))
+OFF_GRID = ((50.0078125, 30.0),)
 
 
 def flat(level: float):
@@ -203,6 +207,72 @@ class TestSynthesizeRound:
         assert gram[k - 3] < 1e-15
 
 
+class TestToneSpectrum:
+    """T, the closed-form DFT of a model's tones, and the kernel that reads it."""
+
+    M = BEAT.samples_per_round // 2 + 1
+
+    @staticmethod
+    def tone_only(tones):
+        # With no stochastic part the periodogram of every round is |T|^2 / n.
+        return NoiseModel(None, electronic_floor=0.0, interference_tones=tones)
+
+    def test_on_grid_tone_is_one_bin_exactly(self):
+        n = BEAT.samples_per_round
+        model = self.tone_only(TWO_TONES)
+        tone = timeseries._tone_spectrum(model, BEAT, 0, self.M)
+        for freq, power in TWO_TONES:
+            j = int(freq * n / BEAT.sample_rate_msps)
+            assert tone[j] == 2.0 * np.sqrt(power / n) * n / 2.0
+        assert np.flatnonzero(tone).tolist() == [800, 3200]
+        psd = simulate_spectrum(model, BEAT).psd
+        assert psd[[800, 3200]] == pytest.approx([20.0, 30.0], rel=1e-14)
+        assert np.flatnonzero(psd).tolist() == [800, 3200]
+
+    @pytest.mark.parametrize("freq", [50.01, 0.0125, 124.9625])
+    def test_off_grid_tone_matches_the_fft_of_its_record(self, freq):
+        # 0.0125 MHz is half a bin: its leakage peaks at DC.  124.9625 MHz sits
+        # 1.5 bins below Nyquist, so its leakage there is the same order.
+        model = self.tone_only(((freq, 2.0),))
+        expected = np.fft.rfft(timeseries._add_tones(np.zeros(BEAT.samples_per_round), model, BEAT))
+        tone = timeseries._tone_spectrum(model, BEAT, 0, self.M)
+        peak = np.abs(expected).max()
+        assert np.abs(tone - expected).max() < 1e-9 * peak
+        assert np.all(tone != 0)
+        part = timeseries._tone_spectrum(model, BEAT, 3190, 3210)
+        assert np.array_equal(part, tone[3190:3210])
+        # The kernel reads T at the real DC and Nyquist bins too.
+        n = BEAT.samples_per_round
+        for bins in (slice(0, 20), slice(self.M - 20, self.M)):
+            psd = simulate_spectrum(model, BEAT, bins=bins).psd
+            gram = np.abs(expected[bins]) ** 2 / n
+            assert np.allclose(psd, gram, rtol=0.0, atol=1e-9 * peak**2 / n)
+
+    def test_tone_at_nyquist_rejected(self):
+        model = self.tone_only(((125.0, 1.0),))
+        with pytest.raises(ValueError, match="Nyquist"):
+            simulate_spectrum(model, BEAT)
+
+    @pytest.mark.parametrize("tones, hot", [(TONE, [3200]), (TWO_TONES, [800, 3200])],
+                             ids=["one-tone", "two-tones"])
+    def test_a_round_reads_one_phase_word_per_tone_bin(self, monkeypatch, tones, hot):
+        m, reads = self.M, []
+        read_rounds = timeseries._read_rounds
+
+        def recording(seed, stream, rounds, runs, words):
+            for r in read_rounds(seed, stream, rounds, runs, words):
+                read = [word for start, lo, hi in runs for word in range(start, start + hi - lo)]
+                reads.append((r, read))
+                yield r
+
+        monkeypatch.setattr(timeseries, "_read_rounds", recording)
+        model = NoiseModel(lorentzian, electronic_floor=0.1, interference_tones=tones)
+        simulate_spectrum(model, BEAT)
+        assert [r for r, _ in reads] == list(range(BEAT.rounds))
+        for _, read in reads:
+            assert sorted(read) == [*range(m + 2), *(m + 2 + k for k in hot)]
+
+
 class TestDrawMap:
     """The seed->numbers map of one round (word layout in the timeseries docstring)."""
 
@@ -243,21 +313,28 @@ class TestDrawMap:
     @pytest.mark.parametrize(
         "bins",
         [slice(None), slice(0, 5001), slice(3197, 3206), slice(3203, 3204), slice(0, 7),
-         slice(0, 1), slice(4990, 5001), slice(5000, 5001), slice(1, 5000)],
+         slice(0, 1), slice(4990, 5001), slice(5000, 5001), slice(1, 5000), slice(799, 3202),
+         slice(1500, 1501)],
         ids=["default", "whole-grid", "tone-band", "one-bin", "dc-band", "dc-bin",
-             "nyquist-band", "nyquist-bin", "interior"],
+             "nyquist-band", "nyquist-bin", "interior", "both-tones", "between-tones"],
     )
     def test_bin_range_reads_the_whole_grid_words(self, bins):
-        # BEAT has m = 5001 bins and its 80 MHz tone in bin 3200; ranges start
-        # at every word offset within a 4-word Philox block.
+        # BEAT has m = 5001 bins, its 80 MHz tone in bin 3200 and a 20 MHz one
+        # in bin 800; ranges start at every word offset within a 4-word
+        # Philox block.  The off-grid tone reaches every bin.
         toned = NoiseModel(lorentzian, electronic_floor=0.1, interference_tones=TONE)
+        two = NoiseModel(flat(0.7), electronic_floor=0.1, interference_tones=TWO_TONES)
+        off = NoiseModel(lorentzian, electronic_floor=0.1, interference_tones=OFF_GRID)
         plain = NoiseModel(flat(0.3), electronic_floor=0.1)
-        for models in ([toned, plain], [plain]):
+        for models in ([toned, plain], [plain], [two, plain], [two, off, plain], [off]):
             whole = simulate_spectra(models, BEAT, stream=4)
             part = simulate_spectra(models, BEAT, stream=4, bins=bins)
-            for w, p in zip(whole, part):
+            for model, w, p in zip(models, whole, part):
                 for field in ("freqs_mhz", "psd", "stderr"):
                     assert np.array_equal(getattr(w, field)[bins], getattr(p, field))
+                for freq, _ in model.interference_tones:
+                    k = round(freq / BEAT.bin_spacing_mhz)
+                    assert w.psd[k] > 10.0 * w.psd[k - 10]
 
     @pytest.mark.parametrize("bins", [slice(5, 5), slice(0, None, 2), slice(6000, 7000)])
     def test_bad_bin_range_rejected(self, bins):
@@ -346,30 +423,39 @@ class TestEstimateSpectrum:
         assert np.allclose(batch.stderr, streamed.stderr, rtol=1e-9, atol=1e-12)
 
     def test_matches_reference_path_for_sloped_psd_with_tone(self):
-        model = NoiseModel(lorentzian, electronic_floor=0.1, interference_tones=TONE)
+        self.check_reference_path(TONE)
+
+    def test_matches_reference_path_for_sloped_psd_with_off_grid_tone(self):
+        self.check_reference_path(OFF_GRID)
+
+    @staticmethod
+    def check_reference_path(tones):
+        model = NoiseModel(lorentzian, electronic_floor=0.1, interference_tones=tones)
         traces = [synthesize_round(model, BEAT, i, stream=3) for i in range(BEAT.rounds)]
         batch = estimate_spectrum(traces, BEAT)
         streamed = simulate_spectrum(model, BEAT, stream=3)
-        assert streamed.psd[3200] > 10.0 * streamed.psd[3190]
+        k = round(tones[0][0] / BEAT.bin_spacing_mhz)
+        assert streamed.psd[k] > 10.0 * streamed.psd[k - 10]
         assert np.allclose(batch.psd, streamed.psd, rtol=1e-12, atol=0.0)
         assert np.allclose(batch.stderr, streamed.stderr, rtol=1e-9, atol=1e-12)
 
     def test_shared_draws_match_separate_calls(self):
+        # A bin's value depends on neither the other models of the call nor
+        # which of them have tones, on or off the grid.
         models = [
             NoiseModel(lorentzian, electronic_floor=0.1),
             NoiseModel(flat(0.3), electronic_floor=0.1, interference_tones=TONE),
             NoiseModel(None, electronic_floor=0.0),
+            NoiseModel(flat(2.5), electronic_floor=0.1, interference_tones=OFF_GRID),
             NoiseModel(flat(2.5), electronic_floor=0.1),
         ]
         together = simulate_spectra(models, BEAT, stream=5)
         for model, est in zip(models, together):
             alone = simulate_spectrum(model, BEAT, stream=5)
-            assert np.allclose(est.psd, alone.psd, rtol=1e-12, atol=0.0)
-            assert np.allclose(est.stderr, alone.stderr, rtol=1e-12, atol=0.0)
-            if not model.interference_tones:
-                # a tone-free model reads the same words with or without a toned one
-                assert np.array_equal(est.psd, alone.psd)
-                assert np.array_equal(est.stderr, alone.stderr)
+            assert np.array_equal(est.psd, alone.psd)
+            assert np.array_equal(est.stderr, alone.stderr)
+        assert together[1].psd[3200] > 10.0 * together[1].psd[3190]
+        assert together[3].psd[2000] > 3.0 * together[4].psd[2000]
 
     def test_inconsistent_lengths_rejected(self):
         with pytest.raises(ValueError, match="lengths"):
@@ -723,6 +809,44 @@ class TestSpectraWriter:
         assert text == "\n".join(["freq_mhz,psd_linear,stderr", *rows]) + "\n"
         write_spectra_csv([(est, tmp_path / "edges.csv")])
         assert (tmp_path / "edges.csv").read_bytes() == text.encode()
+
+    def test_spectra_with_equal_bytes_are_formatted_once(self, tmp_path, monkeypatch):
+        # Equal values are not enough: -0.0 and 0.0, a NaN and a number, or
+        # two NaN payloads are different bytes, and each such spectrum gets
+        # its own formatting (two NaN payloads have the same text).
+        est = simulate_spectrum(NoiseModel(lorentzian, 0.1, TONE), BEAT)
+        psd = est.psd.copy()
+        psd[[7, 9]] = np.nan, 0.0
+        signed, numbered, payload = psd.copy(), psd.copy(), psd.copy()
+        signed[9] = -0.0
+        numbered[7] = 1.5
+        payload[7] = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        assert payload.tobytes() != psd.tobytes()
+        spectra = [SpectrumEstimate(est.freqs_mhz, column, est.stderr)
+                   for column in (psd, psd.copy(), signed, numbered, payload)]
+        formatted = []
+        csv_blocks = timeseries._csv_blocks
+
+        def recording(spec):
+            formatted.append(spec)
+            return csv_blocks(spec)
+
+        monkeypatch.setattr(timeseries, "_csv_blocks", recording)
+        paths = [tmp_path / f"spectrum{i}.csv" for i in range(len(spectra))]
+        write_spectra_csv(list(zip(spectra, paths)))
+        ids = [id(spec) for spec in spectra]
+        assert [ids.index(id(spec)) for spec in formatted] == [0, 2, 3, 4]
+        for spec, path in zip(spectra, paths):
+            assert path.read_bytes() == spectrum_to_csv(spec).encode()
+        rows = [path.read_text().splitlines()[8:11] for path in paths]
+        assert rows[1] == rows[0] and rows[4] == rows[0]
+        assert rows[2][2] != rows[0][2] and rows[3][0] != rows[0][0]
+
+    def test_rejects_two_spectra_for_one_file(self, tmp_path):
+        est = simulate_spectrum(NoiseModel(flat(0.9), 0.1), SMALL)
+        with pytest.raises(ValueError, match="file of its own"):
+            write_spectra_csv([(est, tmp_path / "a.csv"), (est, tmp_path / "." / "a.csv")])
+        assert not list(tmp_path.iterdir())
 
     def test_rejects_spectra_on_different_grids(self, tmp_path):
         a = SpectrumEstimate(np.array([0.0, 1.0]), np.ones(2), np.zeros(2))

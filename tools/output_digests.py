@@ -3,10 +3,12 @@
 Usage: python tools/output_digests.py [CHECKOUT]
 
 Runs a fixed list of ``python -m sqztune`` commands against CHECKOUT's own
-``src/`` (default: the checkout holding this script), each in a fresh
-temporary directory with relative output paths, at seed 11.  For each
-command it prints the exit code and the SHA-256 of its stdout and stderr,
-then the SHA-256 of every file the commands wrote.  A change that keeps
+``src/`` (default: the checkout holding this script), in one temporary
+directory with relative output paths, at seed 11.  Besides the builtins it
+runs two variants of fig5a's exported config: one with its tone moved off
+the grid (its spectrum leaks into every bin) and one with a second tone.
+For each command it prints the exit code and the SHA-256 of its stdout and
+stderr, then the SHA-256 of every file the commands wrote.  A change that keeps
 every output byte-identical prints the same text as its parent:
 
     python tools/output_digests.py > after.txt
@@ -17,6 +19,7 @@ every output byte-identical prints the same text as its parent:
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +32,11 @@ AXES = {
     "pump_mw": "90,270,450,630",
     "delta_theta_rad": "-0.2,0,0.1047",
     "hd_efficiency": "0.5,0.888,1.0",
+}
+# fig5a variants, by config file name: their interference tones (MHz, power)
+TONED = {
+    "fig5a_offgrid.json": [[80.0013, 30.0]],
+    "fig5a_two_tones.json": [[80.0, 30.0], [60.0, 5.0]],
 }
 
 
@@ -57,7 +65,17 @@ def commands() -> list[list[str]]:
         ["sweep", "fig5a", "--param", "pump_mw", "--values", "450"],
         ["sweep", "fig4b", "--param", "pump_mw", "--values", "980"],
     ]
+    cmds += [["run", config, "--mode", "both", *seeded, "--format", "csv"] for config in TONED]
     return cmds
+
+
+def write_configs(work: Path, env: dict[str, str]) -> None:
+    """Write the ``TONED`` configs into ``work``, each fig5a's export with its tones replaced."""
+    subprocess.run([sys.executable, "-B", "-m", "sqztune", "list", "--export", "builtins"],
+                   cwd=work, env=env, capture_output=True, check=True)
+    base = json.loads((work / "builtins" / "fig5a.json").read_text())
+    for config, tones in TONED.items():
+        (work / config).write_text(json.dumps({**base, "interference_tones": tones}))
 
 
 def sha(data: bytes) -> str:
@@ -73,6 +91,7 @@ def main(argv: list[str]) -> int:
     env = {**os.environ, "PYTHONPATH": str(src)}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
+        write_configs(work, env)
         for index, cmd in enumerate(commands()):
             out = f"out{index:02d}"
             argv_ = [out if arg == "OUT" else arg for arg in cmd]
