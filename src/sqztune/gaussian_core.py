@@ -161,17 +161,10 @@ def apply_uniform_loss(
     One step: the listed modes' rows, then their columns, are scaled by
     sqrt(eta) and 1 - eta is added to their diagonal.  Every entry sees the
     same operations in the same order as under one single-mode loss per mode.
-    On all modes that is the whole matrix, with no index lookups.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must be in [0, 1], got {eta}")
-    if modes is None:
-        root = np.sqrt(eta)
-        cov = state.cov * root
-        cov *= root
-        cov.flat[:: len(cov) + 1] += 1.0 - eta
-        return GaussianState(state.modes, cov)
-    modes = tuple(modes)
+    modes = state.modes if modes is None else tuple(modes)
     if len(set(modes)) != len(modes):
         raise ValueError(f"duplicate modes in {modes}")
     if not modes:

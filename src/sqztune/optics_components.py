@@ -24,6 +24,8 @@ from numpy.typing import NDArray
 from .gaussian_core import (
     GaussianState,
     ModeLabel,
+    add_vacuum_modes,
+    apply_symplectic,
     apply_uniform_loss,
     check_unitary,
     symplectic_from_unitary,
@@ -208,25 +210,15 @@ def _couple_pairs(
     """Couple every mode with its ``+shift`` partner through the pair unitary ``u``.
 
     Each mode of the state is the lower input of its own (delta, delta +
-    shift) pair; partners missing from the state enter as vacuum, and an
-    overlap is rejected (:func:`_partners`).  ``u`` is converted and checked
-    once, as the symplectic block of one pair, and that block is placed on
-    every pair: the block-diagonal symplectic of all pairs holds nothing else
-    and passes the same checks.
+    shift) pair.  The partners (:func:`_partners`, which rejects an overlap)
+    enter as vacuum modes appended in the same order, and every pair takes
+    ``u`` at once: the block-diagonal unitary np.kron(I, u), applied as one
+    symplectic op.
     """
-    modes = state.modes
-    uppers = _partners(modes, shift_mhz)
-    block = symplectic_from_unitary(u, (modes[0], uppers[0])).matrix
-    n = len(modes)
-    # Axes (lower/upper, pair, quadrature) of rows, then of columns: the
-    # partners are appended after the state's modes, in the same order.
-    full = np.zeros((2, n, 2, 2, n, 2))
-    pairs = np.arange(n)
-    full[:, pairs, :, :, pairs, :] = block.reshape(2, 2, 2, 2)
-    full = full.reshape(4 * n, 4 * n)
-    cov = np.eye(4 * n)
-    cov[: 2 * n, : 2 * n] = state.cov
-    return GaussianState(modes + uppers, full @ cov @ full.T)
+    uppers = _partners(state.modes, shift_mhz)
+    pair_modes = [mode for pair in zip(state.modes, uppers) for mode in pair]
+    op = symplectic_from_unitary(np.kron(np.eye(len(uppers)), u), pair_modes)
+    return apply_symplectic(add_vacuum_modes(state, uppers), op)
 
 
 # A passive chain's transfer map: each mode's complex amplitudes from the

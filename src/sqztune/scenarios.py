@@ -286,14 +286,10 @@ class ScenarioConfig:
             raise ConfigError("at least one LO phase required")
         if not hd.analysis_mhz:
             raise ConfigError("at least one analysis frequency required")
-        shift = self.total_shift_mhz
-        if not (
-            math.isclose(hd.lo_offset_mhz, 0.0, abs_tol=1e-9)
-            or math.isclose(hd.lo_offset_mhz, shift, abs_tol=1e-9)
-        ):
+        if not (math.isclose(hd.lo_offset_mhz, 0.0, abs_tol=1e-9) or self.symmetric):
             raise ConfigError(
                 f"LO offset {hd.lo_offset_mhz} MHz matches neither the carrier (0) "
-                f"nor the net tuner shift ({shift} MHz)"
+                f"nor the net tuner shift ({self.total_shift_mhz} MHz)"
             )
         nyquist = self.acquisition.sample_rate_msps / 2.0
         for freq, power in self.interference_tones:
@@ -347,30 +343,29 @@ class ScenarioConfig:
     def total_shift_mhz(self) -> float:
         return sum(e.shift_mhz for e in self.chain if isinstance(e, AbiSpec))
 
-    def _member_detunings(self, analysis_mhz: float) -> tuple[float, float]:
-        """Grid-snapped source detunings of the two analysis-pair members."""
-        shift = self.total_shift_mhz
-        lo = self.hd.lo_offset_mhz
-        try:
-            return tuple(
-                ModeLabel.from_mhz(abs(member - shift)).mhz
-                for member in (lo + analysis_mhz, lo - analysis_mhz)
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    @cached_property
+    def lo_detuning_mhz(self) -> float:
+        """|lo - s|, the LO's distance from the tuned state's carrier (s: the
+        net tuner shift): the band at nu reads the source at |nu - |lo - s||."""
+        return abs(self.hd.lo_offset_mhz - self.total_shift_mhz)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """True when the LO sits on the tuned state's carrier (lo = s, to the
+        LO check's tolerance): each band then reads both sidebands of one pair."""
+        return math.isclose(self.hd.lo_offset_mhz, self.total_shift_mhz, abs_tol=1e-9)
 
     def _source_detuning(self, analysis_mhz: float) -> float:
-        """Source sideband detuning feeding the analysis pair at this frequency."""
-        return min(self._member_detunings(analysis_mhz))
+        """Source sideband detuning the analysis pair at this frequency reads:
+        |analysis_mhz - |lo - s|| snapped to the label grid."""
+        try:
+            return ModeLabel.from_mhz(abs(analysis_mhz - self.lo_detuning_mhz)).mhz
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @cached_property
     def source_detuning_mhz(self) -> float:
         return self._source_detuning(self.hd.analysis_mhz[0])
-
-    def is_symmetric(self, analysis_mhz: float) -> bool:
-        """True when both members of the analysis pair carry the source state."""
-        upper, lower = self._member_detunings(analysis_mhz)
-        return upper == lower
 
 
 # ---------------------------------------------------------------------------
@@ -650,13 +645,13 @@ def _mc_targets(cfg: ScenarioConfig, opo: OpoParams, gains, eta: float, freqs) -
     """Optical target PSD at grid frequencies nu >= 0 for each LO phase's
     gains (``gains[i][j]``: phase i, analysis band j).
 
-    Bin nu reads the source at its detuning min(|lo + nu - s|, |lo - nu - s|)
-    = |nu - |lo - s|| (s: the net tuner shift) through the gains of its
+    Bin nu reads the source at |nu - |lo - s||, as a band does
+    (:attr:`ScenarioConfig.lo_detuning_mhz`), through the gains of its
     nearest analysis band.  The source excess is evaluated once for every
     phase.
     """
     hd = cfg.hd
-    excess = _source_excess(cfg, opo, np.abs(freqs - abs(hd.lo_offset_mhz - cfg.total_shift_mhz)))
+    excess = _source_excess(cfg, opo, np.abs(freqs - cfg.lo_detuning_mhz))
     order = np.argsort(hd.analysis_mhz)
     centres = np.array(hd.analysis_mhz)[order]
     band = order[np.searchsorted((centres[:-1] + centres[1:]) / 2.0, freqs)]
@@ -781,7 +776,6 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
     mode, acq = _mode_and_acquisition(cfg, mode, seed)
     hd = cfg.hd
     thetas, bands = hd.thetas_rad, hd.analysis_mhz
-    symmetric = [cfg.is_symmetric(analysis) for analysis in bands]
     opos = [_opo_params(cfg, pump) for pump in cfg.pump_sweep_mw]  # checked on every path
     mc = [cfg.mc_pump_mw is None or pump in cfg.mc_pump_mw for pump in cfg.pump_sweep_mw]
     values, estimates, spectra = _evaluate(cfg, mode, acq, opos, [hd.delta_theta_rad],
@@ -793,13 +787,13 @@ def run_scenario(cfg: ScenarioConfig, mode: str | None = None, seed: int | None 
             if pump_estimates is not None:
                 key = f"pump{pump:g}mW_{_theta_tag(theta)}"
                 spectra[f"{key}_raw"], spectra[f"{key}_corrected"] = pump_estimates[i]
-            for j, (analysis, sym) in enumerate(zip(bands, symmetric)):
+            for j, analysis in enumerate(bands):
                 analytic_linear = None if values is None else values[pump_index][i][j]
                 analytic_db = None if values is None else db(analytic_linear)
                 mc_db = None
                 if pump_estimates is not None:
                     mc_db = db(band_power(pump_estimates[i][1], analysis, acq.band_width_mhz))
-                quantity = _quantity_name(sym, pump, theta, analysis)
+                quantity = _quantity_name(cfg.symmetric, pump, theta, analysis)
                 ref = _REFERENCE_INDEX.get((cfg.name, quantity))
                 model_db = mc_db if analytic_db is None else analytic_db
                 rows.append(ResultRow(
@@ -864,7 +858,7 @@ def sweep(
     if not values:
         raise ConfigError("sweep needs at least one value")
     hd = cfg.hd
-    if not cfg.is_symmetric(hd.analysis_mhz[0]):
+    if not cfg.symmetric:
         raise ConfigError("sweep supports scenarios with the LO matched to the state")
     mode, acq = _mode_and_acquisition(cfg, mode, seed)
 

@@ -305,10 +305,15 @@ def _tones(model: NoiseModel, acq: AcquisitionParams) -> Iterator[tuple[float, f
 def _add_tones(
     trace: NDArray[np.float64], model: NoiseModel, acq: AcquisitionParams
 ) -> NDArray[np.float64]:
-    """``trace`` plus the model's deterministic interference tones."""
-    t = np.arange(acq.samples_per_round) / acq.sample_rate_msps
-    tones = _tones(model, acq)
-    return trace + sum(amplitude * np.cos(2.0 * np.pi * freq * t) for freq, amplitude in tones)
+    """``trace`` plus the model's deterministic interference tones.  A tone's
+    phase 2 pi j t / n, j = f n / rate = J + frac, is taken as
+    2 pi ((J t mod n) + frac t) / n: below 4 pi, at float64's full precision."""
+    n = acq.samples_per_round
+    t = np.arange(n)
+    for freq, amplitude in _tones(model, acq):
+        whole, frac = divmod(freq * n / acq.sample_rate_msps, 1.0)
+        trace = trace + amplitude * np.cos(2.0 * np.pi * (whole * t % n + frac * t) / n)
+    return trace
 
 
 def _tone_spectrum(

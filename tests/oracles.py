@@ -12,11 +12,10 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from sqztune import scenarios
-from sqztune.gaussian_core import GaussianState, ModeLabel, SymplecticOp
+from sqztune.gaussian_core import GaussianState, ModeLabel, SymplecticOp, apply_uniform_loss
 from sqztune.homodyne import DetectedPair, detect_pair
-from sqztune.optics_components import abi_efficiency, sideband_pair_state
-from sqztune.scenarios import AbiSpec, LossSpec, ScenarioConfig
+from sqztune.optics_components import abi_efficiency, apply_abi, apply_aom, sideband_pair_state
+from sqztune.scenarios import AbiSpec, ConfigError, LossSpec, ScenarioConfig
 from sqztune.timeseries import AcquisitionParams, SpectrumEstimate, periodogram
 
 
@@ -119,7 +118,28 @@ def chain_efficiency_total(cfg: ScenarioConfig) -> float:
 def covariance_response_pairs(cfg: ScenarioConfig) -> list[DetectedPair]:
     """The pair of each analysis band the long way: the response source
     (vs = 2, va = 1) propagated as a covariance through every mid-chain
-    element, then detected at unit efficiency."""
-    state = scenarios._propagate(cfg, sideband_pair_state(2.0, 1.0, cfg.source_detuning_mhz))
+    element, then detected at unit efficiency.
+
+    The chain is walked here, element by element, with the public
+    ``apply_uniform_loss``, ``apply_aom`` and ``apply_abi``, so a mistake in
+    the runner's own walk shows as a gap to this one.  A shift whose mode
+    pairs overlap is a ConfigError in the runner's words.
+    """
+    state = sideband_pair_state(2.0, 1.0, cfg.source_detuning_mhz)
+    for position, element in enumerate(cfg.chain[1:-1], start=1):
+        if isinstance(element, LossSpec):
+            state = apply_uniform_loss(state, element.efficiency)
+            continue
+        try:
+            if isinstance(element, AbiSpec):
+                state = apply_abi(state, element.shift_mhz, element.zeta, element.visibility,
+                                  element.phi_rad)
+            else:
+                state = apply_aom(state, element.t, element.r, element.shift_mhz)
+        except ValueError as exc:
+            kind = "abi" if isinstance(element, AbiSpec) else "aom"
+            raise ConfigError(
+                f"chain element {position} ({kind}, shift {element.shift_mhz:g} MHz): {exc}"
+            ) from None
     lo = ModeLabel.from_mhz(cfg.hd.lo_offset_mhz)
     return [detect_pair(state, lo, analysis) for analysis in cfg.hd.analysis_mhz]

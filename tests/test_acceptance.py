@@ -251,8 +251,8 @@ def test_criterion_8a_uncertainty_on_random_chains():
 def test_criterion_8b_symplectic_form_preserved():
     # The shipped frequency shifters: AOM and tuner pair blocks on random
     # disjoint mode pairs, each op the block-diagonal symplectic_from_unitary of
-    # np.kron(I, u), which equals the checked pair block _couple_pairs places
-    # on every pair (TestPairCoupler in test_optics_components).
+    # np.kron(I, u), the op _couple_pairs applies to every pair at once
+    # (TestPairCoupler in test_optics_components).
     rng = np.random.default_rng(80802)
     modes = tuple(ModeLabel.from_mhz(m) for m in (0.0, 1.0, 2.0, 3.0))
     worst = 0.0

@@ -308,8 +308,8 @@ def kron_coupler(state, u, shift_mhz):
 
 
 class TestPairCoupler:
-    """Each pair gets the one checked pair block; the covariance is the
-    block-diagonal construction's, bit for bit."""
+    """The pair coupler is the block-diagonal construction, bit for bit,
+    with an overlap check (_partners) ahead of it."""
 
     @staticmethod
     def pair_states(rng, count):

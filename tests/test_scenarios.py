@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import apply_chain_change, mc_target_psd, valid_chain_change
 from oracles import chain_efficiency_total, covariance_response_pairs
-from sqztune import scenarios, timeseries
-from sqztune.gaussian_core import ModeLabel
+from sqztune import gaussian_core, homodyne, optics_components, scenarios, timeseries
+from sqztune.gaussian_core import GRID_HZ, ModeLabel
 from sqztune.homodyne import db, hd_noise_power
 from sqztune.optics_components import OpoParams
 from sqztune.scenarios import (
@@ -459,6 +459,47 @@ class TestTransferMap:
         except ConfigError:
             assume(False)
         self.assert_map_matches_covariance(cfg)
+
+
+def two_member_geometry(cfg: ScenarioConfig, analysis_mhz: float) -> tuple[bool, float]:
+    """(symmetric, source detuning) of the band at ``analysis_mhz`` by its two
+    pair members lo +- nu: each read at its grid-snapped source detuning
+    |member - s|, symmetric when the two are equal, the smaller one read."""
+    lo, shift = cfg.hd.lo_offset_mhz, cfg.total_shift_mhz
+    try:
+        upper, lower = [ModeLabel.from_mhz(abs(member - shift)).mhz
+                        for member in (lo + analysis_mhz, lo - analysis_mhz)]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return upper == lower, min(upper, lower)
+
+
+def outcome(call):
+    """``call()``, or the type and text of what it raised, the detuning a
+    grid error prints left out."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), re.sub(r"detuning \S+ MHz", "detuning MHz", str(exc))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(BUILTIN_SCENARIOS)),
+       changes=st.lists(valid_chain_change, max_size=2),
+       steps=st.integers(1, 20_000), off_grid=st.booleans())
+def test_band_geometry_equals_the_two_member_definition(name, changes, steps, off_grid):
+    # Half a grid step off the label grid, a band is rejected by both
+    # definitions; only the detuning its message prints may differ.
+    data = scenario_to_dict(get_scenario(name))
+    for change in changes:
+        apply_chain_change(data["chain"], change)
+    try:
+        cfg = scenario_from_dict(data)
+    except ConfigError:
+        assume(False)
+    analysis = (steps + 0.5 * off_grid) * GRID_HZ / 1e6
+    assert outcome(lambda: (cfg.symmetric, cfg._source_detuning(analysis))) == outcome(
+        lambda: two_member_geometry(cfg, analysis))
 
 
 class TestMonteCarloTarget:
@@ -964,6 +1005,55 @@ class TestEvaluator:
         assert "None" not in sweep_csv(records)
 
 
+def reduced(name: str) -> ScenarioConfig:
+    """A builtin at a 5,000-sample, 24-round acquisition, its rates and bands kept."""
+    cfg = get_scenario(name)
+    return replace(cfg, acquisition=replace(cfg.acquisition, samples_per_round=5000, rounds=24))
+
+
+class TestCovarianceLayerUnreached:
+    """No run or sweep calls the covariance layer: its pair coupler, loss
+    channel and chain walk serve only propagate_chain and the tests, so
+    their speed reaches no output and no benchmark workload."""
+
+    @staticmethod
+    def covariance_calls(monkeypatch) -> list:
+        """Names of the layer's functions called while the test runs, through
+        any module's binding of them."""
+        calls = []
+        layer = (scenarios._propagate, optics_components._couple_pairs,
+                 gaussian_core.apply_uniform_loss)
+        for module in (gaussian_core, homodyne, optics_components, scenarios):
+            for name, value in list(vars(module).items()):
+                if any(value is function for function in layer):
+                    def recorded(*args, function=value, **kwargs):
+                        calls.append(function.__name__)
+                        return function(*args, **kwargs)
+                    monkeypatch.setattr(module, name, recorded)
+        return calls
+
+    def test_the_recorder_sees_propagate_chain(self, monkeypatch):
+        calls = self.covariance_calls(monkeypatch)
+        propagate_chain(get_scenario("fig5b"), 450.0)
+        assert set(calls) == {"_propagate", "_couple_pairs", "apply_uniform_loss"}
+
+    @pytest.mark.parametrize("mode", scenarios.MODES)
+    @pytest.mark.parametrize("name", ["fig4a", "fig5a", "fig5b"])
+    def test_runs(self, monkeypatch, name, mode):
+        calls = self.covariance_calls(monkeypatch)
+        run_scenario(reduced(name), mode=mode, seed=3)
+        assert calls == []
+
+    @pytest.mark.parametrize("parameter", scenarios.SWEEP_PARAMETERS)
+    def test_sweeps(self, monkeypatch, parameter):
+        values = {"pump_mw": [90.0, 450.0], "delta_theta_rad": [-0.1, 0.1],
+                  "hd_efficiency": [0.5, 1.0]}[parameter]
+        calls = self.covariance_calls(monkeypatch)
+        for name in ("fig4a", "fig5b"):
+            sweep(reduced(name), parameter, values, mode="both", seed=3)
+        assert calls == []
+
+
 class TestReferenceTable:
     def test_round_trip_is_bit_exact(self):
         text = emit_reference()
@@ -1105,7 +1195,7 @@ def sweep_cases(draw):
         chain_response(cfg)
     except ConfigError:
         assume(False)
-    assume(cfg.is_symmetric(cfg.hd.analysis_mhz[0]))
+    assume(cfg.symmetric)
     parameter = draw(st.sampled_from(sorted(AXIS_VALUES)))
     own, valid, invalid = AXIS_VALUES[parameter]
     values = draw(st.lists(valid | st.just(own(cfg)), min_size=1, max_size=13))

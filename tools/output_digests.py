@@ -5,9 +5,10 @@ Usage: python tools/output_digests.py [CHECKOUT]
 Runs a fixed list of ``python -m sqztune`` commands against CHECKOUT's own
 ``src/`` (default: the checkout holding this script), in one temporary
 directory with relative output paths, at seed 11.  Besides the builtins it
-runs two variants of fig5a's exported config: one with its tone moved off
-the grid (its spectrum leaks into every bin) and one with a second tone.
-For each command it prints the exit code and the SHA-256 of its stdout and
+runs four variants of exported configs (``VARIANTS``): fig5a with its tone
+moved off the grid (its spectrum leaks into every bin) and with a second
+tone, fig4a with a bare AOM, and fig4a with an analysis band off the label
+grid, which exits 2.  For each command it prints the exit code and the SHA-256 of its stdout and
 stderr, then the SHA-256 of every file the commands wrote.  A change that keeps
 every output byte-identical prints the same text as its parent:
 
@@ -33,10 +34,18 @@ AXES = {
     "delta_theta_rad": "-0.2,0,0.1047",
     "hd_efficiency": "0.5,0.888,1.0",
 }
-# fig5a variants, by config file name: their interference tones (MHz, power)
-TONED = {
-    "fig5a_offgrid.json": [[80.0013, 30.0]],
-    "fig5a_two_tones.json": [[80.0, 30.0], [60.0, 5.0]],
+
+
+# Variants of exported builtins, by config file name: the builtin, and the
+# keys the variant changes as a function of the builtin's JSON data.
+VARIANTS = {
+    "fig5a_offgrid.json": ("fig5a", lambda cfg: {"interference_tones": [[80.0013, 30.0]]}),
+    "fig5a_two_tones.json": ("fig5a", lambda cfg: {
+        "interference_tones": [[80.0, 30.0], [60.0, 5.0]]}),
+    "fig4a_aom.json": ("fig4a", lambda cfg: {"chain": cfg["chain"][:-1] + [
+        {"kind": "aom", "t": 0.8, "r": 0.6, "shift_mhz": 10.0}, cfg["chain"][-1]]}),
+    "fig4a_offgrid_band.json": ("fig4a", lambda cfg: {"chain": cfg["chain"][:-1] + [
+        {**cfg["chain"][-1], "analysis_mhz": [1.555]}]}),
 }
 
 
@@ -65,17 +74,20 @@ def commands() -> list[list[str]]:
         ["sweep", "fig5a", "--param", "pump_mw", "--values", "450"],
         ["sweep", "fig4b", "--param", "pump_mw", "--values", "980"],
     ]
-    cmds += [["run", config, "--mode", "both", *seeded, "--format", "csv"] for config in TONED]
+    cmds += [["run", config, "--mode", "both", *seeded, "--format", "csv"]
+             for config in ("fig5a_offgrid.json", "fig5a_two_tones.json", "fig4a_aom.json")]
+    cmds += [["run", "fig4b", "--mode", "montecarlo", *seeded, "--format", "csv"]]
+    cmds += [["run", "fig4a_offgrid_band.json"]]  # exit 2
     return cmds
 
 
 def write_configs(work: Path, env: dict[str, str]) -> None:
-    """Write the ``TONED`` configs into ``work``, each fig5a's export with its tones replaced."""
+    """Write the ``VARIANTS`` configs into ``work``, each its builtin's export with its changes."""
     subprocess.run([sys.executable, "-B", "-m", "sqztune", "list", "--export", "builtins"],
                    cwd=work, env=env, capture_output=True, check=True)
-    base = json.loads((work / "builtins" / "fig5a.json").read_text())
-    for config, tones in TONED.items():
-        (work / config).write_text(json.dumps({**base, "interference_tones": tones}))
+    for config, (name, change) in VARIANTS.items():
+        base = json.loads((work / "builtins" / f"{name}.json").read_text())
+        (work / config).write_text(json.dumps({**base, **change(base)}))
 
 
 def sha(data: bytes) -> str:
